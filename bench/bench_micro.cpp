@@ -26,7 +26,6 @@
 #include "stream/channel.h"
 #include "stream/pipeline.h"
 #include "stream/record.h"
-#include "stream/tuning.h"
 #include "synopses/critical_points.h"
 
 namespace tcmf {
@@ -286,17 +285,14 @@ void PrintPipelineStageReport() {
               pipeline.ReportJson().c_str());
 }
 
-// ===== Batched transport comparison (PR 3 + PR 4 acceptance rows) ====
+// ===== Batched transport comparison =====
 //
 // Measures the cross-thread channel-transfer rate as a function of batch
 // size (batch 1 == the original record-at-a-time Push/Pop transport) and
 // the end-to-end source->map->filter->sink pipeline across transport
-// modes: record-at-a-time, a static max_batch sweep {16, 64, 256},
-// fused+Batched(64), the adaptive controller (BatchPolicy::Adaptive —
-// must converge to >= 0.9x the best static row under steady load), and
-// an adaptive slow-consumer phase change (the tuner must record
-// back-off adjustments). Emits a table on stdout and machine-readable
-// rows to BENCH_micro.json in the working directory;
+// modes: record-at-a-time, a static max_batch sweep {16, 64, 256} and
+// fused+Batched(64). Emits a table on stdout and machine-readable rows
+// to BENCH_micro.json in the working directory;
 // tools/bench_check.py gates the RATIOS between rows against the
 // committed baseline in bench/baselines/ (see docs/STREAM_TUNING.md for
 // how to read the numbers).
@@ -305,15 +301,10 @@ struct BenchRow {
   std::string name;
   size_t records = 0;
   double records_per_s = 0.0;
-  bool tuned = false;
-  stream::TunerState tuner;  ///< source-edge controller state (if tuned)
-  bool capacity_tuned = false;
-  stream::CapacityState capacity;  ///< source-edge elastic bound (if tuned)
   double p99_ms = -1.0;      ///< p99 staging latency (latency rows only)
-  int64_t budget_ms = -1;    ///< latency-budget contract (latency rows only)
+  int64_t linger_ms = -1;    ///< the row's linger bound (latency rows only)
   int hw_threads = 0;        ///< hardware threads (hw-gated rows only)
-  bool has_skew = false;     ///< worker-edge skew summary attached
-  stream::WorkerEdgeSkew skew;  ///< keyed-stage partition-edge summary
+  double skew_ratio = -1.0;  ///< keyed stage's partition skew (skew rows)
 };
 
 // One producer thread feeding one consumer (the caller's thread) through
@@ -371,25 +362,14 @@ double MeasureChannelTransfer(size_t batch, size_t total) {
 }
 
 // source -> map(x3) -> filter(even) -> sink, count records, capacity 256,
-// under an arbitrary BatchPolicy (optionally with the map+filter fused
-// into the source stage). When slow_after >= 0 the sink sleeps slow_us
-// microseconds per record once slow_after records have passed — a
-// consumer phase change that an adaptive source edge must react to by
-// shrinking its batch target (visible as tuner adjust_down > 0).
-struct PipelineResult {
-  double records_per_s = 0.0;
-  bool tuned = false;
-  stream::TunerState tuner;  ///< source-edge controller state (if tuned)
-};
-
-PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
-                                     bool fuse, int count,
-                                     int slow_after = -1, int slow_us = 0) {
+// under a BatchPolicy (optionally with the map+filter fused into one
+// stage). Returns records/s.
+double MeasurePipelinePolicy(const stream::BatchPolicy& policy, bool fuse,
+                             int count) {
   constexpr size_t kCapacity = 256;
   stream::Pipeline pipeline;
   int next = 0;
   long long checksum = 0;
-  int sunk = 0;
   auto source = stream::Flow<int>::FromGenerator(
       &pipeline,
       [&next, count]() -> std::optional<int> {
@@ -397,15 +377,9 @@ PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
         return next++;
       },
       {.name = "source", .capacity = kCapacity, .batch = policy});
-  auto source_tuner = source.tuner();
   auto map_fn = [](const int& x) { return x * 3; };
   auto filter_fn = [](const int& x) { return (x & 1) == 0; };
-  auto sink_fn = [&checksum, &sunk, slow_after, slow_us](const int& x) {
-    checksum += x;
-    if (slow_after >= 0 && ++sunk > slow_after && slow_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(slow_us));
-    }
-  };
+  auto sink_fn = [&checksum](const int& x) { checksum += x; };
   if (fuse) {
     source.Fuse()
         .Map<int>(map_fn)
@@ -423,42 +397,24 @@ PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   benchmark::DoNotOptimize(checksum);
-  PipelineResult result;
-  result.records_per_s = static_cast<double>(count) / seconds;
-  if (source_tuner) {
-    result.tuned = true;
-    result.tuner = source_tuner->Snapshot();
-  }
-  return result;
+  return static_cast<double>(count) / seconds;
 }
 
-// ==== Elastic capacity comparison (PR 5 acceptance rows) ====
+// ==== Channel capacity sweep ====
 //
 // source -> map -> bursty sink: the sink stalls for `stall_us` every
 // `stall_every` records, so the edge sees alternating saturation (during
 // a stall the queue fills and the producer blocks) and drain phases. A
 // deep queue rides the bursts out; a shallow one serializes the pipeline
-// on every stall. Static capacities {64, 1024, 8192} are swept against
-// CapacityPolicy::Adaptive(64, 8192) seeded at 64 — the controller must
-// reach >= 0.85x the best static row without hand-picking the bound
-// (gated by tools/bench_check.py).
-struct CapacityResult {
-  double records_per_s = 0.0;
-  bool capacity_tuned = false;
-  stream::CapacityState capacity;
-};
-
-CapacityResult MeasureCapacityPipeline(size_t capacity,
-                                       const stream::CapacityPolicy& tuning,
-                                       int count, int stall_every,
-                                       int stall_us) {
+// on every stall. Static capacities {64, 1024, 8192} show what the
+// bound buys. Returns records/s.
+double MeasureCapacityPipeline(size_t capacity, int count, int stall_every,
+                               int stall_us) {
   stream::Pipeline pipeline;
   int next = 0;
   long long checksum = 0;
   int sunk = 0;
-  stream::BatchPolicy policy = stream::BatchPolicy::Batched(64, 1);
-  policy.tune_every_records = 1024;  // capacity window cadence
-  auto source = stream::Flow<int>::FromGenerator(
+  stream::Flow<int>::FromGenerator(
       &pipeline,
       [&next, count]() -> std::optional<int> {
         if (next >= count) return std::nullopt;
@@ -466,12 +422,9 @@ CapacityResult MeasureCapacityPipeline(size_t capacity,
       },
       {.name = "source",
        .capacity = capacity,
-       .batch = policy,
-       .capacity_tuning = tuning});
-  auto source_tuner = source.tuner();
-  source.Map<int>([](const int& x) { return x * 3; },
-                  {.name = "map_x3", .capacity = capacity,
-                   .capacity_tuning = tuning})
+       .batch = stream::BatchPolicy::Batched(64, 1)})
+      .Map<int>([](const int& x) { return x * 3; },
+                {.name = "map_x3", .capacity = capacity})
       .Sink([&checksum, &sunk, stall_every, stall_us](const int& x) {
         checksum += x;
         if (++sunk % stall_every == 0) {
@@ -484,24 +437,16 @@ CapacityResult MeasureCapacityPipeline(size_t capacity,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   benchmark::DoNotOptimize(checksum);
-  CapacityResult result;
-  result.records_per_s = static_cast<double>(count) / seconds;
-  if (source_tuner && source_tuner->capacity_tuner()) {
-    result.capacity_tuned = true;
-    result.capacity = source_tuner->capacity_tuner()->Snapshot();
-  }
-  return result;
+  return static_cast<double>(count) / seconds;
 }
 
-// ==== Latency-budget staging latency (PR 5 acceptance rows) ====
+// ==== Linger staging latency ====
 //
 // A trickling source (one record every `gap_us`) into a large-batch edge:
 // batches never fill naturally, so staging latency is whatever the linger
-// policy allows. Each element carries its creation time; the sink records
-// the staging+transit delay. With only the classic linger knob the p99
-// tracks max_linger_ms; with a latency budget the effective linger
-// shrinks by the predicted fill time, so the p99 must stay under the
-// budget (gated by tools/bench_check.py).
+// allows. Each element carries its creation time; the sink records the
+// staging+transit delay, whose p99 tracks max_linger_ms (gated by
+// tools/bench_check.py).
 double MeasureStagingLatencyP99(const stream::BatchPolicy& policy, int count,
                                 int gap_us) {
   using Clock = std::chrono::steady_clock;
@@ -549,7 +494,7 @@ struct KeyedRec {
 
 struct KeyedFusionResult {
   double records_per_s = 0.0;
-  stream::WorkerEdgeSkew skew;
+  double skew_ratio = 0.0;  ///< the keyed stage's partition-edge skew
 };
 
 KeyedFusionResult MeasureKeyedFusion(bool fused, int count) {
@@ -610,33 +555,28 @@ KeyedFusionResult MeasureKeyedFusion(bool fused, int count) {
   KeyedFusionResult result;
   result.records_per_s = static_cast<double>(count) / seconds;
   for (const stream::StageMetrics& m : pipeline.Report()) {
-    if (m.stage == "keyed") {
-      result.skew = stream::SummarizeWorkerEdges(m.worker_edges);
-    }
+    if (m.stage == "keyed") result.skew_ratio = m.skew_ratio;
   }
   return result;
 }
 
-// Skew-aware partition-edge tuning under a hot key: 80% of the stream
-// lands on one key (one partition edge), and every hot-key record costs
-// ~20us at its worker, so the hot edge's pops blow the slow-batch
-// latency bound while the cold edges starve. The per-edge controllers
-// must back the hot edge off (hot_adjust_down > 0) while the starvation
-// gate holds the cold targets (cold_adjust_down == 0 given enough
-// cores); the uniform arm is the skew_ratio contrast.
+// Partition skew under a hot key: 80% of the stream lands on one key
+// (one partition edge); the uniform arm spreads 16 keys. The stage
+// row's skew_ratio (hottest partition edge's records_in over the mean)
+// must tell the two apart.
 KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
   constexpr size_t kWorkers = 4;
   stream::Pipeline pipeline;
   int next = 0;
-  stream::BatchPolicy policy = stream::BatchPolicy::Adaptive(64, 1, 256);
-  policy.tune_every_records = 256;
   auto source = stream::Flow<int>::FromGenerator(
       &pipeline,
       [&next, count]() -> std::optional<int> {
         if (next >= count) return std::nullopt;
         return next++;
       },
-      {.name = "source", .capacity = 256, .batch = policy});
+      {.name = "source",
+       .capacity = 256,
+       .batch = stream::BatchPolicy::Batched(64, 1)});
   auto to_rec = [skewed](const int& x) {
     KeyedRec r;
     // Hot key 0 takes 80% of the skewed stream; uniform spreads 0..15.
@@ -647,14 +587,7 @@ KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
   };
   auto key_fn = [](const KeyedRec& r) { return r.key; };
   auto proc = [](const KeyedRec& r, double& sum,
-                 const std::function<void(double)>&) {
-    sum += r.payload[0];
-    if (r.key == 0) {
-      // The hot key's per-record cost: a 64-record pop at the hot edge
-      // takes milliseconds, far past the 1ms slow-batch bound.
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
-  };
+                 const std::function<void(double)>&) { sum += r.payload[0]; };
   auto flush = [](uint64_t, double& sum,
                   const std::function<void(double)>& emit) { emit(sum); };
   double checksum = 0.0;
@@ -675,9 +608,7 @@ KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
   KeyedFusionResult result;
   result.records_per_s = static_cast<double>(count) / seconds;
   for (const stream::StageMetrics& m : pipeline.Report()) {
-    if (m.stage == "keyed") {
-      result.skew = stream::SummarizeWorkerEdges(m.worker_edges);
-    }
+    if (m.stage == "keyed") result.skew_ratio = m.skew_ratio;
   }
   return result;
 }
@@ -710,15 +641,13 @@ void RunBatchedTransportComparison(bool smoke) {
       "\n=== pipeline source->map->filter->sink: %d records, capacity 256 "
       "===\n",
       kPipelineCount);
-  std::printf("%-28s %14s  %s\n", "row", "records/s", "tuner");
+  std::printf("%-28s %14s\n", "row", "records/s");
 
-  // A pipeline mode: name, batch policy, fuse flag, optional slow phase.
+  // A pipeline mode: name, batch policy, fuse flag.
   struct Mode {
     const char* name;
     stream::BatchPolicy policy;
     bool fuse = false;
-    bool slow_phase = false;  ///< sink sleeps slow_us/record after count/2
-    int slow_us = 0;
   };
   const Mode kModes[] = {
       {"pipeline/record_at_a_time", stream::BatchPolicy::Single()},
@@ -726,144 +655,73 @@ void RunBatchedTransportComparison(bool smoke) {
       {"pipeline/batched64", stream::BatchPolicy::Batched(64)},
       {"pipeline/batched256", stream::BatchPolicy::Batched(256)},
       {"pipeline/fused_batched64", stream::BatchPolicy::Batched(64), true},
-      {"pipeline/adaptive", stream::BatchPolicy::Adaptive(16, 1, 1024)},
-      // Phase change: sink turns slow halfway through. Throughput here is
-      // dominated by the sink sleep (informational); what bench_check
-      // gates is that the tuner recorded back-off adjustments.
-      {"pipeline/adaptive_slow_phase",
-       stream::BatchPolicy::Adaptive(16, 1, 1024), false, true, 20},
   };
   for (const Mode& mode : kModes) {
-    // The slow-phase row sleeps ~20us on half its records; run it on a
-    // reduced count so the comparison stays fast.
-    const int count = mode.slow_phase ? std::max(kPipelineCount / 10, 20000)
-                                      : kPipelineCount;
-    // The filter drops odd values, so ~count/2 records reach the sink;
-    // count/4 puts the phase change halfway through the sink's stream.
-    const int slow_after = mode.slow_phase ? count / 4 : -1;
-    PipelineResult best;
+    double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      PipelineResult r = MeasurePipelinePolicy(mode.policy, mode.fuse, count,
-                                               slow_after, mode.slow_us);
-      if (r.records_per_s > best.records_per_s) best = r;
+      best = std::max(best, MeasurePipelinePolicy(mode.policy, mode.fuse,
+                                                  kPipelineCount));
     }
     BenchRow row;
     row.name = mode.name;
-    row.records = static_cast<size_t>(count);
-    row.records_per_s = best.records_per_s;
-    row.tuned = best.tuned;
-    row.tuner = best.tuner;
+    row.records = static_cast<size_t>(kPipelineCount);
+    row.records_per_s = best;
     rows.push_back(row);
-    if (best.tuned) {
-      std::printf(
-          "%-28s %14.0f  target=%zu range=[%zu,%zu] up=%llu down=%llu "
-          "converged=%zu\n",
-          mode.name, best.records_per_s, best.tuner.target_batch,
-          best.tuner.min_batch, best.tuner.max_batch_cap,
-          static_cast<unsigned long long>(best.tuner.adjust_up),
-          static_cast<unsigned long long>(best.tuner.adjust_down),
-          best.tuner.converged_batch);
-    } else {
-      std::printf("%-28s %14.0f\n", mode.name, best.records_per_s);
-    }
+    std::printf("%-28s %14.0f\n", mode.name, best);
   }
 
-  // ---- elastic capacity sweep: static {64, 1024, 8192} vs adaptive ----
+  // ---- channel capacity sweep: static {64, 1024, 8192} ----
   {
     const int count = smoke ? 100000 : 400000;
     const int stall_every = 4096;
     const int stall_us = 1500;  // ~1.5ms burst stall at the sink
     std::printf(
-        "\n=== elastic capacity: source->map->bursty sink, %d records, "
+        "\n=== channel capacity: source->map->bursty sink, %d records, "
         "sink stalls %dus every %d ===\n",
         count, stall_us, stall_every);
-    std::printf("%-28s %14s  %s\n", "row", "records/s", "capacity");
-    struct CapMode {
-      const char* name;
-      size_t capacity;
-      stream::CapacityPolicy tuning;  // inert for the static rows
-    };
-    const CapMode kCapModes[] = {
-        {"pipeline_capacity/static64", 64, {}},
-        {"pipeline_capacity/static1024", 1024, {}},
-        {"pipeline_capacity/static8192", 8192, {}},
-        // Seeded at the *worst* static bound: the controller has to find
-        // its own way up.
-        {"pipeline_capacity/adaptive", 64,
-         stream::CapacityPolicy::Adaptive(64, 8192)},
-    };
-    for (const CapMode& mode : kCapModes) {
-      CapacityResult best;
+    std::printf("%-28s %14s\n", "row", "records/s");
+    for (const size_t capacity : {size_t{64}, size_t{1024}, size_t{8192}}) {
+      double best = 0.0;
       for (int rep = 0; rep < kReps; ++rep) {
-        CapacityResult r = MeasureCapacityPipeline(
-            mode.capacity, mode.tuning, count, stall_every, stall_us);
-        if (r.records_per_s > best.records_per_s) best = r;
+        best = std::max(best, MeasureCapacityPipeline(capacity, count,
+                                                      stall_every, stall_us));
       }
       BenchRow row;
-      row.name = mode.name;
+      row.name = "pipeline_capacity/static" + std::to_string(capacity);
       row.records = static_cast<size_t>(count);
-      row.records_per_s = best.records_per_s;
-      row.capacity_tuned = best.capacity_tuned;
-      row.capacity = best.capacity;
+      row.records_per_s = best;
       rows.push_back(row);
-      if (best.capacity_tuned) {
-        std::printf(
-            "%-28s %14.0f  bound=%zu range=[%zu,%zu] up=%llu down=%llu "
-            "converged=%zu\n",
-            mode.name, best.records_per_s, best.capacity.capacity,
-            best.capacity.min_capacity, best.capacity.max_capacity,
-            static_cast<unsigned long long>(best.capacity.resize_up),
-            static_cast<unsigned long long>(best.capacity.resize_down),
-            best.capacity.converged);
-      } else {
-        std::printf("%-28s %14.0f  bound=%zu (static)\n", mode.name,
-                    best.records_per_s, mode.capacity);
-      }
+      std::printf("%-28s %14.0f\n", row.name.c_str(), best);
     }
   }
 
-  // ---- latency-budget linger: staging-latency p99 under a trickle ----
+  // ---- linger: staging-latency p99 under a trickle ----
   {
     const int count = smoke ? 400 : 1500;
     const int gap_us = 200;  // ~5k records/s: batches never fill
     std::printf(
-        "\n=== latency-budget linger: trickling source (1 rec/%dus), "
-        "%d records, batch 4096 ===\n",
+        "\n=== linger: trickling source (1 rec/%dus), %d records, "
+        "batch 4096 ===\n",
         gap_us, count);
-    std::printf("%-28s %10s %10s\n", "row", "p99 ms", "budget");
-    struct LatMode {
-      const char* name;
-      stream::BatchPolicy policy;
-      int64_t budget_ms;  // -1 = no contract
-    };
-    // linger 200ms vs the same policy under a 50ms staging contract: the
-    // budget must tighten the p99 below itself, an order of magnitude
-    // under the raw linger row.
-    const LatMode kLatModes[] = {
-        {"pipeline_latency/linger200",
-         stream::BatchPolicy::Batched(4096, 200), -1},
-        {"pipeline_latency/budget50",
-         stream::BatchPolicy::Batched(4096, 200).WithLatencyBudget(50), 50},
-    };
-    for (const LatMode& mode : kLatModes) {
+    std::printf("%-28s %10s %10s\n", "row", "p99 ms", "linger");
+    // The p99 tracks the linger bound: the 50ms row must stay near 50ms
+    // and well under the 200ms row.
+    for (const int64_t linger_ms : {int64_t{200}, int64_t{50}}) {
       double best = -1.0;
       for (int rep = 0; rep < kReps; ++rep) {
-        const double p99 = MeasureStagingLatencyP99(mode.policy, count, gap_us);
+        const double p99 = MeasureStagingLatencyP99(
+            stream::BatchPolicy::Batched(4096, linger_ms), count, gap_us);
         if (best < 0.0 || p99 < best) best = p99;
       }
       BenchRow row;
-      row.name = mode.name;
+      row.name = "pipeline_latency/linger" + std::to_string(linger_ms);
       row.records = static_cast<size_t>(count);
       row.records_per_s = 0.0;  // latency row: rate is not the point
       row.p99_ms = best;
-      row.budget_ms = mode.budget_ms;
+      row.linger_ms = linger_ms;
       rows.push_back(row);
-      if (mode.budget_ms >= 0) {
-        std::printf("%-28s %10.2f %8lldms\n", mode.name, best,
-                    static_cast<long long>(mode.budget_ms));
-      } else {
-        std::printf("%-28s %10.2f %10s\n", mode.name, best, "-");
-      }
+      std::printf("%-28s %10.2f %8lldms\n", row.name.c_str(), best,
+                  static_cast<long long>(linger_ms));
     }
   }
 
@@ -897,29 +755,22 @@ void RunBatchedTransportComparison(bool smoke) {
 
     const int skew_count = smoke ? 8000 : 20000;
     std::printf(
-        "\n=== skew-aware partition-edge tuning: keyed(4 workers), %d "
-        "records, hot key ~20us/record ===\n",
+        "\n=== partition skew: keyed(4 workers), %d records, hot key "
+        "80%% of the stream ===\n",
         skew_count);
-    std::printf("%-28s %14s %6s %9s %9s %9s\n", "row", "records/s", "skew",
-                "hot_down", "cold_down", "targets");
+    std::printf("%-28s %14s %6s\n", "row", "records/s", "skew");
     for (const bool skewed : {false, true}) {
-      // One rep: the gates read controller counters, not throughput.
+      // One rep: the gate reads the partition counters, not throughput.
       const KeyedFusionResult r = MeasureKeyedSkew(skewed, skew_count);
       BenchRow row;
-      row.name = skewed ? "keyed_fusion/adaptive_skewed"
-                        : "keyed_fusion/adaptive_uniform";
+      row.name = skewed ? "keyed_fusion/skewed" : "keyed_fusion/uniform";
       row.records = static_cast<size_t>(skew_count);
       row.records_per_s = r.records_per_s;
       row.hw_threads = hw;
-      row.has_skew = true;
-      row.skew = r.skew;
+      row.skew_ratio = r.skew_ratio;
       rows.push_back(row);
-      std::printf(
-          "%-28s %14.0f %6.2f %9llu %9llu [%zu,%zu]\n", row.name.c_str(),
-          r.records_per_s, r.skew.skew_ratio,
-          static_cast<unsigned long long>(r.skew.hot_adjust_down),
-          static_cast<unsigned long long>(r.skew.cold_adjust_down),
-          r.skew.min_target, r.skew.max_target);
+      std::printf("%-28s %14.0f %6.2f\n", row.name.c_str(), r.records_per_s,
+                  r.skew_ratio);
     }
   }
 
@@ -931,49 +782,16 @@ void RunBatchedTransportComparison(bool smoke) {
                    "\"records_per_s\": %.0f",
                    rows[i].name.c_str(), rows[i].records,
                    rows[i].records_per_s);
-      if (rows[i].tuned) {
-        const stream::TunerState& t = rows[i].tuner;
-        std::fprintf(f,
-                     ", \"tuner_target_batch\": %zu, \"tuner_min_batch\": %zu, "
-                     "\"tuner_batch_cap\": %zu, \"tuner_samples\": %llu, "
-                     "\"tuner_adjust_up\": %llu, \"tuner_adjust_down\": %llu, "
-                     "\"tuner_converged_batch\": %zu",
-                     t.target_batch, t.min_batch, t.max_batch_cap,
-                     static_cast<unsigned long long>(t.samples),
-                     static_cast<unsigned long long>(t.adjust_up),
-                     static_cast<unsigned long long>(t.adjust_down),
-                     t.converged_batch);
-      }
-      if (rows[i].capacity_tuned) {
-        const stream::CapacityState& c = rows[i].capacity;
-        std::fprintf(f,
-                     ", \"capacity\": %zu, \"capacity_min\": %zu, "
-                     "\"capacity_max\": %zu, \"capacity_resize_up\": %llu, "
-                     "\"capacity_resize_down\": %llu, "
-                     "\"capacity_converged\": %zu",
-                     c.capacity, c.min_capacity, c.max_capacity,
-                     static_cast<unsigned long long>(c.resize_up),
-                     static_cast<unsigned long long>(c.resize_down),
-                     c.converged);
-      }
       if (rows[i].p99_ms >= 0.0) {
-        std::fprintf(f, ", \"p99_ms\": %.3f, \"budget_ms\": %lld",
+        std::fprintf(f, ", \"p99_ms\": %.3f, \"linger_ms\": %lld",
                      rows[i].p99_ms,
-                     static_cast<long long>(rows[i].budget_ms));
+                     static_cast<long long>(rows[i].linger_ms));
       }
       if (rows[i].hw_threads > 0) {
         std::fprintf(f, ", \"hw_threads\": %d", rows[i].hw_threads);
       }
-      if (rows[i].has_skew) {
-        const stream::WorkerEdgeSkew& s = rows[i].skew;
-        std::fprintf(f,
-                     ", \"skew_ratio\": %.3f, \"hot_edges\": %zu, "
-                     "\"hot_adjust_down\": %llu, \"cold_adjust_down\": %llu, "
-                     "\"min_target\": %zu, \"max_target\": %zu",
-                     s.skew_ratio, s.hot_edges,
-                     static_cast<unsigned long long>(s.hot_adjust_down),
-                     static_cast<unsigned long long>(s.cold_adjust_down),
-                     s.min_target, s.max_target);
+      if (rows[i].skew_ratio >= 0.0) {
+        std::fprintf(f, ", \"skew_ratio\": %.3f", rows[i].skew_ratio);
       }
       std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }

@@ -95,7 +95,9 @@ std::vector<GenRow> RunBatchVsFused(bool smoke) {
     auto start = std::chrono::steady_clock::now();
     store::KgStoreSink(
         rdf::TripleGeneratorStage(
-            stream::Flow<stream::Record>::FromVector(&pipeline, records),
+            stream::Flow<stream::Record>::FromVector(
+                &pipeline, records,
+                {.batch = stream::BatchPolicy::Batched(256)}),
             std::move(tmpl), std::move(vars)),
         &store);
     pipeline.Run();

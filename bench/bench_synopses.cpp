@@ -233,9 +233,6 @@ int main() {
     const Mode kModes[] = {
         {"record-at-a-time", stream::BatchPolicy::Single()},
         {"batched(64)", stream::BatchPolicy::Batched(64)},
-        // Auto-tuned per-edge batching (docs/STREAM_TUNING.md): should
-        // land within a few percent of the hand-picked static size.
-        {"adaptive", stream::BatchPolicy::Adaptive()},
     };
     constexpr int kReps = 3;  // keep the best rep: least scheduler noise
     size_t last_critical = 0;
@@ -246,21 +243,18 @@ int main() {
     for (const Mode& mode : kModes) {
       double best_seconds = 0.0;
       size_t critical = 0;
-      stream::TunerState tuner;
-      bool tuned = false;
       for (int rep = 0; rep < kReps; ++rep) {
         stream::Pipeline pipeline;
         critical = 0;
         auto start = std::chrono::steady_clock::now();
+        // The source's policy is inherited by every downstream stage.
         auto source = stream::Flow<Position>::FromVector(
             &pipeline, data.stream,
             {.name = "source", .capacity = 512, .batch = mode.policy});
-        auto source_tuner = source.tuner();
         synopses::SynopsesStage(
-            insitu::CleaningStage(source, clean_options,
-                                  {.capacity = 512, .batch = mode.policy}),
+            insitu::CleaningStage(source, clean_options, {.capacity = 512}),
             synopses::SynopsesConfig::ForMaritime(), /*parallelism=*/4,
-            {.capacity = 512, .batch = mode.policy})
+            {.capacity = 512})
             .Sink(
                 [&critical](const synopses::CriticalPoint&) { ++critical; });
         pipeline.Run();
@@ -270,24 +264,12 @@ int main() {
                 .count();
         if (best_seconds == 0.0 || seconds < best_seconds) {
           best_seconds = seconds;
-          if (source_tuner) {
-            tuned = true;
-            tuner = source_tuner->Snapshot();
-          }
         }
         last_report = pipeline.ReportString();
       }
       std::printf("  %-18s %zu raw -> %zu critical in %.2f s (%.0f msgs/s)\n",
                   mode.name, data.stream.size(), critical, best_seconds,
                   data.stream.size() / best_seconds);
-      if (tuned) {
-        std::printf("  %-18s source tuner: target=%zu range=[%zu,%zu] "
-                    "up=%llu down=%llu converged=%zu\n", "",
-                    tuner.target_batch, tuner.min_batch, tuner.max_batch_cap,
-                    static_cast<unsigned long long>(tuner.adjust_up),
-                    static_cast<unsigned long long>(tuner.adjust_down),
-                    tuner.converged_batch);
-      }
       if (last_critical != 0 && critical != last_critical) {
         std::printf("  WARNING: batched output diverges from "
                     "record-at-a-time (%zu != %zu)\n",

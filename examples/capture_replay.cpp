@@ -32,6 +32,10 @@ int main() {
   datagen::VesselSimOutput data = sim.Run();
   std::printf("simulated %zu AIS reports\n", data.stream.size());
 
+  // One static transport setting for every edge: 128 records per channel
+  // transfer. It is set at each source and inherited downstream.
+  const stream::BatchPolicy batch = stream::BatchPolicy::Batched(128);
+
   // 2. Capture: stream the feed through a pipeline into a durable log.
   mlog::LogOptions options;
   options.dir = kLogDir;
@@ -42,14 +46,14 @@ int main() {
     stream::Pipeline pipeline;
     auto records =
         stream::Flow<Position>::FromVector(
-            &pipeline, data.stream, {.name = "ais.source", .capacity = 512})
+            &pipeline, data.stream,
+            {.name = "ais.source", .capacity = 512, .batch = batch})
             .Map<stream::Record>(
                 [](const Position& p) { return stream::PositionToRecord(p); },
                 {.name = "to_record", .capacity = 512});
     // The append batch (one fsync per flush) maps to the sink stage's
     // batch policy.
-    mlog::LogSink(std::move(records), log.get(),
-                  {.batch = stream::BatchPolicy::Batched(/*max_batch=*/128)});
+    mlog::LogSink(std::move(records), log.get(), {.batch = batch});
     pipeline.Run();
     std::printf("captured %llu records into %zu segment(s), %llu fsyncs\n",
                 static_cast<unsigned long long>(log->next_offset()),
@@ -67,7 +71,7 @@ int main() {
   {
     stream::Pipeline pipeline;
     size_t replayed = 0, matched = 0;
-    mlog::LogSource(&pipeline, log.get())
+    mlog::LogSource(&pipeline, log.get(), {.stage = {.batch = batch}})
         .Sink([&](const stream::Record& r) {
           if (replayed < data.stream.size() &&
               r == stream::PositionToRecord(data.stream[replayed])) {
@@ -87,7 +91,7 @@ int main() {
     stream::Pipeline pipeline;
     mlog::LogSourceOptions source_options;
     source_options.start_time = data.stream.front().t + 30 * kMillisPerMinute;
-    source_options.stage.name = "replay.tail";
+    source_options.stage = {.name = "replay.tail", .batch = batch};
     size_t tail = 0;
     mlog::LogSource(&pipeline, log.get(), source_options)
         .Sink([&tail](const stream::Record&) { ++tail; });

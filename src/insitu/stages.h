@@ -23,19 +23,14 @@ namespace tcmf::insitu {
 ///
 /// Stage configuration follows the unified `(flow, config, StageOptions,
 /// ...)` helper signature: `stage.name` defaults to "insitu.clean" and
-/// `stage.batch` to the adaptive batched transport (its output edge gets
-/// a private BatchTuner; observation-equivalent to record-at-a-time —
-/// pass `.batch = BatchPolicy::Batched(n)` to pin a static size or
-/// `BatchPolicy::Single()` to opt out; `.capacity_tuning =
-/// CapacityPolicy::Adaptive()` additionally makes the channel bound
-/// elastic; see docs/STREAM_TUNING.md).
+/// `stage.batch` to the upstream Flow's policy, like the Filter it wraps
+/// (set the policy once at the source; see docs/STREAM_TUNING.md).
 inline stream::Flow<Position> CleaningStage(
     stream::Flow<Position> flow, const StreamCleaner::Options& options,
     stream::StageOptions stage = {},
     std::shared_ptr<StreamCleaner>* cleaner_out = nullptr) {
   auto cleaner = std::make_shared<StreamCleaner>(options);
   if (cleaner_out) *cleaner_out = cleaner;
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "insitu.clean";
   return flow.Filter(
       [cleaner = std::move(cleaner)](const Position& p) {
@@ -46,14 +41,13 @@ inline stream::Flow<Position> CleaningStage(
 
 /// Wraps AreaTransitionDetector as a 1:N dataflow stage: each position
 /// expands to the area entry/exit events it triggers. `stage.name`
-/// defaults to "insitu.area_events"; adaptive batched transport by
-/// default, like CleaningStage.
+/// defaults to "insitu.area_events"; the upstream Flow's batch policy
+/// by default, like CleaningStage.
 inline stream::Flow<AreaEvent> AreaEventStage(
     stream::Flow<Position> flow, std::vector<geom::Area> areas,
     const geom::BBox& extent, stream::StageOptions stage = {}) {
   auto detector = std::make_shared<AreaTransitionDetector>(std::move(areas),
                                                            extent);
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "insitu.area_events";
   return flow.FlatMap<AreaEvent>(
       [detector = std::move(detector)](const Position& p) {

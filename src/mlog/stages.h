@@ -26,18 +26,17 @@ namespace tcmf::mlog {
 
 /// Terminal stage: drains `flow` into `*log` using batched appends (one
 /// fsync per batch under FsyncPolicy::kPerBatch). The append batch size
-/// is `stage.batch`'s transfer cap (PopMax; defaults to Batched(256)
-/// when unset). The drain uses the channel's batched pop, so filling an
-/// append batch costs one lock acquisition per available chunk instead
-/// of one per record — the fsync amortization and the transport
-/// amortization line up. Registers a `stage.name` stage (default
-/// "mlog.sink") with the pipeline exposing the log's counters (bytes
-/// written, fsyncs, recovery stats). On an append error — mid-stream or
-/// on the final tail flush — the failure is recorded as a sticky stage
-/// error (StageMetrics.error, visible in Report()/ReportJson()); the
-/// mid-stream path additionally cancels upstream (CloseAndDrain) so the
-/// pipeline shuts down instead of losing data silently. The log must
-/// outlive the pipeline run.
+/// is `stage.batch`'s `max_batch` (Batched(256) when unset). The drain
+/// uses the channel's batched pop, so filling an append batch costs one
+/// lock acquisition per available chunk instead of one per record —
+/// the fsync amortization and the transport amortization line up.
+/// Registers a `stage.name` stage (default "mlog.sink") with the
+/// pipeline exposing the log's counters (bytes written, fsyncs, recovery
+/// stats). On an append error — mid-stream or on the final tail flush —
+/// the failure is recorded as a sticky stage error (StageMetrics.error,
+/// visible in Report()/ReportJson()); the mid-stream path additionally
+/// cancels upstream (CloseAndDrain) so the pipeline shuts down instead
+/// of losing data silently. The log must outlive the pipeline run.
 inline void LogSink(stream::Flow<stream::Record> flow, Log* log,
                     stream::StageOptions stage = {}) {
   stream::Pipeline* pipeline = flow.pipeline();
@@ -50,7 +49,7 @@ inline void LogSink(stream::Flow<stream::Record> flow, Log* log,
   });
   auto in = flow.channel();
   const size_t batch_size = std::max<size_t>(
-      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
+      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).max_batch);
   pipeline->AddThread([in, log, batch_size, error] {
     std::vector<stream::Record> batch;
     batch.reserve(batch_size);
@@ -91,11 +90,10 @@ struct LogSourceOptions {
   std::optional<uint64_t> end_offset;
   /// Stage configuration for the replay edge (the same StageOptions every
   /// Flow operator takes). `stage.name` defaults to "mlog.source";
-  /// `stage.batch` defaults to the adaptive batched transport — the
-  /// replay edge is the throughput-bound path and its best batch size
-  /// depends on the consumer, so the per-edge BatchTuner finds it
-  /// (docs/STREAM_TUNING.md). Use BatchPolicy::Batched(n) to pin a static
-  /// size or BatchPolicy::Single() for record-at-a-time transport.
+  /// `stage.batch` defaults to FromBatchGenerator's BatchPolicy::Batched()
+  /// — the replay edge is the throughput-bound path. Use
+  /// BatchPolicy::Batched(n) to set another size or BatchPolicy::Single()
+  /// for record-at-a-time transport (docs/STREAM_TUNING.md).
   stream::StageOptions stage{};
 };
 
@@ -105,7 +103,7 @@ struct LogSourceOptions {
 /// log must outlive the pipeline run.
 ///
 /// Replay is segment-aware batched end to end: the stage pulls via
-/// Cursor::NextBatch sized to the edge's live batch target, so one call
+/// Cursor::NextBatch sized to the edge's `max_batch`, so one call
 /// decodes one channel transfer's worth of records, the committed
 /// watermark is sampled once per batch, and the log's read counters are
 /// bumped once per batch — source-side decode amortization matched to
@@ -119,7 +117,6 @@ inline stream::Flow<stream::Record> LogSource(stream::Pipeline* pipeline,
                           : cursor->Seek(options.start_offset);
   const uint64_t end = options.end_offset.value_or(log->next_offset());
   stream::StageOptions stage = std::move(options.stage);
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "mlog.source";
   auto error = std::make_shared<stream::StickyStageError>();
   pipeline->RegisterStage(stage.name + ".log", [log, error] {
@@ -136,7 +133,7 @@ inline stream::Flow<stream::Record> LogSource(stream::Pipeline* pipeline,
     return stream::Flow<stream::Record>::FromVector(pipeline, {},
                                                     std::move(stage));
   }
-  if (!stage.batch->batched()) {
+  if (stage.batch.has_value() && !stage.batch->batched()) {
     // Record-at-a-time replay: preserved for bit-compatible comparisons.
     return stream::Flow<stream::Record>::FromGenerator(
         pipeline,
@@ -191,7 +188,7 @@ inline void PartitionedLogSink(stream::Flow<stream::Record> flow,
   });
   auto in = flow.channel();
   const size_t batch_size = std::max<size_t>(
-      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
+      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).max_batch);
   pipeline->AddThread([in, topic, key_fn = std::move(key_fn), batch_size,
                        error] {
     std::vector<stream::Record> batch;

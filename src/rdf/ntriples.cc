@@ -157,9 +157,19 @@ std::string ToNTriplesTerm(const Term& term) {
       return "<" + term.lexical + ">";
     case Term::Kind::kBlank:
       return "_:" + term.lexical;
-    case Term::Kind::kLiteral:
-      if (term.datatype.empty()) return "\"" + Escape(term.lexical) + "\"";
-      return "\"" + Escape(term.lexical) + "\"^^<" + term.datatype + ">";
+    case Term::Kind::kLiteral: {
+      // Appended piecewise: GCC 12 reports a false -Wrestrict on the
+      // equivalent operator+ chain.
+      std::string out = "\"";
+      out += Escape(term.lexical);
+      out += '"';
+      if (!term.datatype.empty()) {
+        out += "^^<";
+        out += term.datatype;
+        out += '>';
+      }
+      return out;
+    }
   }
   return "";
 }

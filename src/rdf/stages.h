@@ -16,22 +16,21 @@ namespace tcmf::rdf {
 
 /// Dataflow stage helpers gluing the RDF generation framework (Section
 /// 4.2.3's RDFizers) into stream::Pipeline graphs, so enrichment runs at
-/// stream rate behind the same adaptive-batching transport as every
-/// other stage — the fused alternative to batch TripleGenerator::Run.
+/// stream rate behind the same batched transport as every other stage —
+/// the fused alternative to batch TripleGenerator::Run.
 /// Both helpers follow the unified `(flow, config, StageOptions)` stage
 /// signature shared with the insitu/synopses/mlog helpers.
 
 /// 1:N stage: instantiates `tmpl` over `vars` for every record —
 /// the streaming form of TripleGenerator (one record in, its template
-/// triples out). `stage.name` defaults to "rdf.generate"; adaptive
-/// batched transport by default (see docs/STREAM_TUNING.md). Pair with
-/// store::KgStoreSink to stream-populate a KnowledgeStore.
+/// triples out). `stage.name` defaults to "rdf.generate"; the batch
+/// policy defaults to the upstream Flow's (see docs/STREAM_TUNING.md).
+/// Pair with store::KgStoreSink to stream-populate a KnowledgeStore.
 inline stream::Flow<Triple> TripleGeneratorStage(
     stream::Flow<stream::Record> flow, GraphTemplate tmpl,
     VariableVector vars, stream::StageOptions stage = {}) {
   auto generator = std::make_shared<TripleGenerator>(std::move(tmpl),
                                                      std::move(vars));
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "rdf.generate";
   return flow.FlatMap<Triple>(
       [generator = std::move(generator)](const stream::Record& r) {
@@ -46,7 +45,7 @@ inline stream::Flow<Triple> TripleGeneratorStage(
 /// BuildSemanticTrajectory's sink form — Trajectory/TrajectoryPart/
 /// SemanticNode triples flow straight into the output edge with no
 /// intermediate graph. `prefix` mints IRIs; `stage.name` defaults to
-/// "rdf.trajectory"; adaptive batched transport by default.
+/// "rdf.trajectory"; the upstream Flow's batch policy by default.
 namespace internal {
 
 /// Per-entity accumulation of critical points for the trajectory builder.
@@ -74,7 +73,6 @@ inline stream::KeyedFlushFn<Triple, TrajectoryState> TrajectoryFlush(
 inline stream::Flow<Triple> SemanticTrajectoryStage(
     stream::Flow<synopses::CriticalPoint> flow, std::string prefix,
     stream::StageOptions stage = {}) {
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "rdf.trajectory";
   return flow.KeyedProcess<Triple, internal::TrajectoryState>(
       [](const synopses::CriticalPoint& cp) { return cp.pos.entity_id; },
@@ -90,7 +88,6 @@ template <typename In>
 stream::Flow<Triple> SemanticTrajectoryStage(
     stream::FusedChain<In, synopses::CriticalPoint> chain, std::string prefix,
     size_t parallelism = 1, stream::StageOptions stage = {}) {
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "rdf.trajectory";
   return chain.template KeyedProcessParallel<Triple,
                                              internal::TrajectoryState>(

@@ -24,7 +24,7 @@ const char* ArrivalModelName(ArrivalModel model);
 /// sinusoidally between `rate_per_s` (trough, at t = 0) and
 /// `rate_per_s * peak_factor` (peak, at t = period_ms / 2) with period
 /// `period_ms` — a compressed day/night commute cycle (CityPulse-style
-/// city feeds), useful for watching the adaptive transport chase load.
+/// city feeds), useful for watching the transport under changing load.
 struct ArrivalCurve {
   ArrivalModel model = ArrivalModel::kPoisson;
   double rate_per_s = 1000.0;

@@ -15,7 +15,7 @@ namespace tcmf::store {
 /// that lets rdf::TripleGeneratorStage / rdf::SemanticTrajectoryStage
 /// stream-populate the knowledge store (Figure 2's RDFizer → RDF store
 /// edge) instead of materializing triples and bulk-loading. The drain
-/// uses the channel's batched pop (batch size = `stage.batch`'s PopMax,
+/// uses the channel's batched pop (batch size = `stage.batch`'s max_batch,
 /// default Batched(256)), so ingesting a batch costs one lock
 /// acquisition per available chunk, mirroring mlog::LogSink.
 ///
@@ -48,7 +48,7 @@ inline void KgStoreSink(stream::Flow<rdf::Triple> flow, KnowledgeStore* store,
   });
   auto in = flow.channel();
   const size_t batch_size = std::max<size_t>(
-      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
+      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).max_batch);
   pipeline->AddThread([in, store, batch_size] {
     std::vector<rdf::Triple> batch;
     batch.reserve(batch_size);

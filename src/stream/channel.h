@@ -13,10 +13,8 @@
 namespace tcmf::stream {
 
 /// Default channel capacity (queue-depth bound) used by every operator
-/// when no explicit capacity is given, and the seed from which the
-/// adaptive capacity controller (tuning.h) starts resizing. One constant
-/// instead of a per-operator literal so the transport default is a single
-/// knob.
+/// when no explicit capacity is given. One constant instead of a
+/// per-operator literal so the transport default is a single knob.
 inline constexpr size_t kDefaultCapacity = 1024;
 
 /// Result of a non-blocking poll: distinguishes "nothing right now" from
@@ -38,8 +36,8 @@ enum class PollStatus {
 /// acquisition (one per capacity chunk on the push side), which is the
 /// dominant throughput lever for the single-pass operator pipelines every
 /// datAcron component compiles down to — the full cost model (what the
-/// lock amortization buys, what batch staging costs, how the per-edge
-/// adaptive controller picks the batch size) is docs/STREAM_TUNING.md.
+/// lock amortization buys, what batch staging costs, how to pick the
+/// batch size) is docs/STREAM_TUNING.md.
 /// Batch transfers use notify_all wakeups: releasing k resources with a
 /// single notify_one would strand up to k-1 waiters (see
 /// ChannelTest.BatchWakeups* regressions).
@@ -63,8 +61,6 @@ class Channel {
   /// the backpressure knob: a full queue blocks producers, and the time
   /// they spend blocked is surfaced as producer_blocked_ns in
   /// StageMetrics. It also bounds the largest contiguous PushBatch chunk.
-  /// The bound is *elastic*: Resize() may change it at runtime (the
-  /// adaptive capacity controller in tuning.h drives this).
   explicit Channel(size_t capacity = kDefaultCapacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -88,7 +84,7 @@ class Channel {
     queue_.push_back(std::move(value));
     ++pushed_;
     ++push_batches_;
-    UpdateWatermarksLocked();
+    UpdateHighWatermarkLocked();
     lock.unlock();
     NotifyConsumers(1);
     return true;
@@ -106,7 +102,7 @@ class Channel {
       queue_.push_back(std::move(value));
       ++pushed_;
       ++push_batches_;
-      UpdateWatermarksLocked();
+      UpdateHighWatermarkLocked();
     }
     NotifyConsumers(1);
     return true;
@@ -143,7 +139,7 @@ class Channel {
         if (accepted == 0 && chunk > 0) ++push_batches_;
         accepted += chunk;
         pushed_ += chunk;
-        UpdateWatermarksLocked();
+        UpdateHighWatermarkLocked();
       }
       NotifyConsumers(chunk);
     }
@@ -299,47 +295,8 @@ class Channel {
     return queue_.size();
   }
 
-  /// The current queue-depth bound. Starts at the constructor value; may
-  /// change at runtime via Resize() when an adaptive capacity controller
-  /// is attached.
-  size_t capacity() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return capacity_;
-  }
-
-  /// Elastically changes the queue-depth bound (0 promoted to 1).
-  /// Growing re-notifies *all* blocked producers — each freed slot can
-  /// admit one waiter, and a grow frees many at once, so notify_one would
-  /// strand waiters exactly like an under-notified batch transfer.
-  /// Shrinking never evicts queued elements: the queue may transiently
-  /// exceed the new bound, and producers simply block until consumers
-  /// drain it below the bound again. Returns the previous bound.
-  size_t Resize(size_t new_capacity) {
-    if (new_capacity == 0) new_capacity = 1;
-    size_t prev;
-    bool grew;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      prev = capacity_;
-      grew = new_capacity > capacity_;
-      capacity_ = new_capacity;
-    }
-    if (grew) not_full_.notify_all();
-    return prev;
-  }
-
-  /// Returns the max queue depth observed since the previous call, and
-  /// restarts the window at the *current* depth (so a queue that stays
-  /// deep keeps reporting deep). This is the capacity controller's
-  /// saturation/shallowness signal: unlike queue_high_watermark (which is
-  /// cumulative and can never decrease), the window watermark reflects
-  /// only the most recent sample interval.
-  size_t TakeQueueWatermarkWindow() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const size_t w = window_watermark_;
-    window_watermark_ = queue_.size();
-    return w;
-  }
+  /// The queue-depth bound fixed at construction.
+  size_t capacity() const { return capacity_; }
 
   /// Adds to the late/dropped counter (wired by windowed operators from
   /// TumblingWindower::late_dropped()).
@@ -376,12 +333,10 @@ class Channel {
             .count());
   }
 
-  /// Bumps the cumulative and per-window depth watermarks. Caller holds
-  /// mutex_.
-  void UpdateWatermarksLocked() {
+  /// Bumps the depth high-watermark. Caller holds mutex_.
+  void UpdateHighWatermarkLocked() {
     const uint64_t depth = queue_.size();
     if (depth > high_watermark_) high_watermark_ = depth;
-    if (depth > window_watermark_) window_watermark_ = depth;
   }
 
   /// Moves up to max_n queued elements into *out. Caller holds mutex_.
@@ -417,7 +372,7 @@ class Channel {
     }
   }
 
-  size_t capacity_;  // elastic; guarded by mutex_ (see Resize)
+  const size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
@@ -430,7 +385,6 @@ class Channel {
   uint64_t push_batches_ = 0;
   uint64_t pop_batches_ = 0;
   uint64_t high_watermark_ = 0;
-  uint64_t window_watermark_ = 0;  // reset by TakeQueueWatermarkWindow()
   uint64_t producer_blocked_ns_ = 0;
   uint64_t consumer_blocked_ns_ = 0;
   uint64_t push_rejected_ = 0;

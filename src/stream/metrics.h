@@ -47,7 +47,7 @@ struct StageMetrics {
   uint64_t batches_in = 0;             ///< push transfers (Push counts as 1)
   uint64_t batches_out = 0;            ///< pop transfers (Pop counts as 1)
   uint64_t queue_high_watermark = 0;   ///< max queue depth ever observed
-  uint64_t capacity = 0;               ///< current queue-depth bound (elastic)
+  uint64_t capacity = 0;               ///< queue-depth bound
   uint64_t producer_blocked_ns = 0;    ///< total ns Push spent waiting (full)
   uint64_t consumer_blocked_ns = 0;    ///< total ns Pop spent waiting (empty)
   uint64_t push_rejected = 0;          ///< pushes refused (closed/cancelled)
@@ -77,32 +77,10 @@ struct StageMetrics {
   uint64_t kg_star_rows = 0;           ///< total star-join result rows
   uint64_t kg_triples_scanned = 0;     ///< postings/rows visited by RunStar
   uint64_t kg_st_filter_evaluations = 0;  ///< exact st-filter checks
-  // Adaptive-batching tuner state (BatchPolicy::Adaptive edges only; see
-  // src/stream/tuning.h and docs/STREAM_TUNING.md). `tuned` is false for
-  // static edges and all tuner_* fields stay zero.
-  bool tuned = false;                  ///< edge has a live BatchTuner
-  uint64_t tuner_target_batch = 0;     ///< current per-transfer target
-  uint64_t tuner_min_batch = 0;        ///< search range lower bound
-  uint64_t tuner_batch_cap = 0;        ///< search range upper bound
-  uint64_t tuner_samples = 0;          ///< controller samples taken
-  uint64_t tuner_adjust_up = 0;        ///< times the target was raised
-  uint64_t tuner_adjust_down = 0;      ///< times the target was lowered
-  uint64_t tuner_converged_batch = 0;  ///< stable target (0 until converged)
-  double tuner_mean_push_batch = 0.0;  ///< mean push size, last window
-  double tuner_pop_ms = 0.0;  ///< wall ms/pop, last window (-1: no pops)
-  // Adaptive-capacity controller state (CapacityPolicy::Adaptive edges
-  // only; see src/stream/tuning.h). `capacity_tuned` is false for static
-  // channels and all capacity_* controller fields stay zero.
-  bool capacity_tuned = false;        ///< edge has a live CapacityTuner
-  uint64_t capacity_min = 0;          ///< resize range lower bound
-  uint64_t capacity_max = 0;          ///< resize range upper bound
-  uint64_t capacity_resize_up = 0;    ///< times the bound was grown (x2)
-  uint64_t capacity_resize_down = 0;  ///< times the bound was shrunk (x0.5)
-  uint64_t capacity_converged = 0;    ///< stable bound (0 until converged)
   // Partition-edge breakdown (keyed-parallel stages only; empty for every
   // other edge). One nested snapshot per router→worker partition edge,
-  // each carrying its own tuner_*/capacity_* controller blocks; rendered
-  // by ToJson() as a "worker_edges" array plus the "skew_ratio" summary.
+  // rendered by ToJson() as a "worker_edges" array plus the "skew_ratio"
+  // summary.
   std::vector<StageMetrics> worker_edges;
   /// Hottest partition edge's records_in over the mean across edges
   /// (WorkerEdgeSkewRatio): 1.0 ⇒ uniform fan-out, 0 ⇒ no edges/records.
@@ -145,9 +123,10 @@ struct StageMetrics {
     return buf;
   }
 
-  /// Single JSON object (no trailing newline). Tuned edges append the
-  /// tuner_* block so every controller decision is observable downstream
-  /// (bench_micro JSON rows, tools/bench_check.py relative gates).
+  /// Single JSON object (no trailing newline): the core counters, then
+  /// the flag-gated `kg_*` block, the error and the keyed stages'
+  /// `skew_ratio`/`worker_edges` (bench_micro JSON rows, perfbench's
+  /// traced stage reports).
   std::string ToJson() const {
     char buf[2048];
     int n = std::snprintf(
@@ -160,7 +139,7 @@ struct StageMetrics {
         "\"consumer_blocked_ns\":%llu,\"push_rejected\":%llu,"
         "\"dropped_on_cancel\":%llu,\"late_dropped\":%llu,"
         "\"cancelled\":%s,\"bytes\":%llu,\"io_syncs\":%llu,"
-        "\"recovered\":%llu,\"truncated_bytes\":%llu,\"tuned\":%s",
+        "\"recovered\":%llu,\"truncated_bytes\":%llu",
         stage.c_str(), static_cast<unsigned long long>(records_in),
         static_cast<unsigned long long>(records_out),
         static_cast<unsigned long long>(batches_in),
@@ -177,8 +156,7 @@ struct StageMetrics {
         static_cast<unsigned long long>(bytes),
         static_cast<unsigned long long>(io_syncs),
         static_cast<unsigned long long>(recovered),
-        static_cast<unsigned long long>(truncated_bytes),
-        tuned ? "true" : "false");
+        static_cast<unsigned long long>(truncated_bytes));
     if (kg && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
       n += std::snprintf(
           buf + n, sizeof(buf) - n,
@@ -190,35 +168,6 @@ struct StageMetrics {
           static_cast<unsigned long long>(kg_star_rows),
           static_cast<unsigned long long>(kg_triples_scanned),
           static_cast<unsigned long long>(kg_st_filter_evaluations));
-    }
-    if (tuned && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"tuner_target_batch\":%llu,\"tuner_min_batch\":%llu,"
-          "\"tuner_batch_cap\":%llu,\"tuner_samples\":%llu,"
-          "\"tuner_adjust_up\":%llu,\"tuner_adjust_down\":%llu,"
-          "\"tuner_converged_batch\":%llu,"
-          "\"tuner_mean_push_batch\":%.2f,\"tuner_pop_ms\":%.3f",
-          static_cast<unsigned long long>(tuner_target_batch),
-          static_cast<unsigned long long>(tuner_min_batch),
-          static_cast<unsigned long long>(tuner_batch_cap),
-          static_cast<unsigned long long>(tuner_samples),
-          static_cast<unsigned long long>(tuner_adjust_up),
-          static_cast<unsigned long long>(tuner_adjust_down),
-          static_cast<unsigned long long>(tuner_converged_batch),
-          tuner_mean_push_batch, tuner_pop_ms);
-    }
-    if (capacity_tuned && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"capacity_tuned\":true,\"capacity_min\":%llu,"
-          "\"capacity_max\":%llu,\"capacity_resize_up\":%llu,"
-          "\"capacity_resize_down\":%llu,\"capacity_converged\":%llu",
-          static_cast<unsigned long long>(capacity_min),
-          static_cast<unsigned long long>(capacity_max),
-          static_cast<unsigned long long>(capacity_resize_up),
-          static_cast<unsigned long long>(capacity_resize_down),
-          static_cast<unsigned long long>(capacity_converged));
     }
     if (!error.empty() && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
       n += std::snprintf(buf + n, sizeof(buf) - n, ",\"error\":\"%s\"",
@@ -246,9 +195,7 @@ struct StageMetrics {
 /// Hottest-edge load factor over a keyed stage's partition edges:
 /// max(records_in) / mean(records_in). 1.0 ⇒ perfectly uniform fan-out,
 /// K ⇒ the hottest worker saw K× the average load; 0 when there are no
-/// edges or no records yet. This is the headline number for deciding
-/// whether per-edge tuner divergence reflects key skew or noise (see
-/// stream::SummarizeWorkerEdges in tuning.h for the full breakdown).
+/// edges or no records yet.
 inline double WorkerEdgeSkewRatio(const std::vector<StageMetrics>& edges) {
   if (edges.empty()) return 0.0;
   uint64_t total = 0;
@@ -293,13 +240,11 @@ class StickyStageError {
 /// aggregate row (ShardedPipeline's merged report): counters sum, queue
 /// high-watermarks take the max (a per-queue bound, not additive),
 /// capacities sum (total buffering across shards), `cancelled` ORs, and
-/// the first non-empty error wins. Controller state (tuner_*/capacity_*)
-/// is per-edge and meaningless summed, so the aggregate row reports
-/// tuned=false; read the per-shard breakdown for controller detail.
-/// Keyed stages' nested worker_edges merge positionally — shard s's
-/// partition w and shard t's partition w are the same logical edge (same
-/// Mix64 key range), so edge w of the aggregate sums edge w of every
-/// shard and the skew ratio is recomputed over the merged edges.
+/// the first non-empty error wins. Keyed stages' nested worker_edges
+/// merge positionally — shard s's partition w and shard t's partition w
+/// are the same logical edge (same Mix64 key range), so edge w of the
+/// aggregate sums edge w of every shard and the skew ratio is recomputed
+/// over the merged edges.
 inline StageMetrics AggregateStageMetrics(
     const std::string& stage_name, const std::vector<StageMetrics>& shards) {
   StageMetrics agg;

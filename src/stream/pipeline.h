@@ -4,9 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -32,76 +30,38 @@ namespace tcmf::stream {
 /// Designated initializers make call sites self-describing:
 ///
 ///   flow.Map<Out>(fn, {.name = "clean", .capacity = 256});
-///   flow.Filter(pred, {.batch = BatchPolicy::Adaptive(),
-///                      .latency_budget_ms = 20,
-///                      .capacity_tuning = CapacityPolicy::Adaptive()});
+///   flow.Filter(pred, {.batch = BatchPolicy::Batched(256, 1)});
 ///
 /// Fields:
 ///  - `name`: stage name in StageMetrics reports ("" = auto "<op>#<i>").
-///  - `capacity`: the output channel's queue-depth bound (the adaptive
-///    seed when `capacity_tuning` is adaptive).
+///  - `capacity`: the output channel's queue-depth bound.
 ///  - `batch`: per-stage BatchPolicy override; nullopt inherits the
 ///    upstream Flow's policy (sources fall back to their own default —
 ///    Single for FromGenerator/FromVector, Batched for
 ///    FromBatchGenerator).
-///  - `latency_budget_ms`: staging-latency contract applied on top of
-///    the effective policy (<0 keeps the policy's own budget).
-///  - `capacity_tuning`: elastic-capacity controller range; the default
-///    is inert (static capacity).
 struct StageOptions {
   std::string name;
   size_t capacity = kDefaultCapacity;
   std::optional<BatchPolicy> batch;
-  int64_t latency_budget_ms = -1;
-  CapacityPolicy capacity_tuning{};
-
-  /// The BatchPolicy this stage actually runs: the per-stage override if
-  /// set, else `inherited` (the upstream Flow's policy), with the
-  /// latency budget layered on top.
-  BatchPolicy EffectivePolicy(const BatchPolicy& inherited) const {
-    BatchPolicy p = batch.has_value() ? *batch : inherited;
-    if (latency_budget_ms >= 0) p.latency_budget_ms = latency_budget_ms;
-    return p;
-  }
 };
 
 /// Buffers operator outputs and flushes them downstream according to a
 /// BatchPolicy. In record-at-a-time mode it degenerates to Channel::Push.
 /// Emit/Flush return false when the downstream edge rejected the transfer
 /// (consumer cancelled) — the signal to propagate cancellation upstream.
-///
-/// When the owning edge is adaptive the emitter carries its BatchTuner:
-/// the flush threshold tracks the live tuner target instead of the static
-/// `max_batch`, and every successful flush feeds the record count back to
-/// the tuner (BatchTuner::OnRecords) — this is the producer-side hook
-/// that drives the whole controller, piggybacked on the existing emit
-/// loop with no extra threads.
 template <typename Out>
 class BatchEmitter {
  public:
-  BatchEmitter(std::shared_ptr<Channel<Out>> out, BatchPolicy policy,
-               std::shared_ptr<BatchTuner> tuner = nullptr)
-      : out_(std::move(out)), policy_(policy), tuner_(std::move(tuner)) {
-    if (policy_.batched()) buf_.reserve(policy_.PopMax());
-  }
-
-  /// Live flush threshold: the tuner target on adaptive edges, the static
-  /// `max_batch` otherwise.
-  size_t CurrentTarget() const {
-    return tuner_ ? tuner_->target() : policy_.max_batch;
+  BatchEmitter(std::shared_ptr<Channel<Out>> out, BatchPolicy policy)
+      : out_(std::move(out)), policy_(policy) {
+    if (policy_.batched()) buf_.reserve(policy_.max_batch);
   }
 
   bool Emit(Out value) {
-    if (!policy_.batched()) {
-      const bool ok = out_->Push(std::move(value));
-      // Capacity-only tuners still need the sample cadence driven on
-      // record-at-a-time edges (no batch flushes to piggyback on).
-      if (ok && tuner_) tuner_->OnRecords(1);
-      return ok;
-    }
+    if (!policy_.batched()) return out_->Push(std::move(value));
     if (buf_.empty()) first_buffered_ = std::chrono::steady_clock::now();
     buf_.push_back(std::move(value));
-    if (buf_.size() >= CurrentTarget()) return Flush();
+    if (buf_.size() >= policy_.max_batch) return Flush();
     return true;
   }
 
@@ -110,50 +70,17 @@ class BatchEmitter {
     const size_t n = buf_.size();
     const bool ok = out_->PushBatch(std::move(buf_)) == n;
     buf_.clear();
-    buf_.reserve(policy_.PopMax());
-    if (ok && tuner_) tuner_->OnRecords(n);
+    buf_.reserve(policy_.max_batch);
     return ok;
   }
 
   bool has_pending() const { return !buf_.empty(); }
 
-  /// The live linger bound in ms: min of the static `max_linger_ms` knob
-  /// and the latency-budget residual `budget - predicted_fill_ms`, where
-  /// predicted_fill_ms = target / fill_rate is how long the current batch
-  /// target is expected to keep staging records (tuner rate estimate; 0
-  /// without a tuner or before the first sample). As the adaptive
-  /// controller grows the target, the residual linger shrinks, so
-  /// fill time + linger stays <= budget — worst-case staging latency
-  /// bounded by contract (derivation: docs/STREAM_TUNING.md). Returns
-  /// +inf when neither knob is active (never flush on a timer).
-  double EffectiveLingerMs() const {
-    double linger = policy_.max_linger_ms >= 0
-                        ? static_cast<double>(policy_.max_linger_ms)
-                        : std::numeric_limits<double>::infinity();
-    if (policy_.latency_budget_ms >= 0) {
-      const double rate = tuner_ ? tuner_->rate_per_ms() : 0.0;
-      const double fill_ms =
-          rate > 0.0 ? static_cast<double>(CurrentTarget()) / rate : 0.0;
-      const double residual =
-          std::max(0.0, static_cast<double>(policy_.latency_budget_ms) -
-                            fill_ms);
-      linger = std::min(linger, residual);
-    }
-    return linger;
-  }
-
   /// Time until the oldest buffered element exceeds the linger bound.
+  /// Callers only ask when the policy's LingerEnabled().
   std::chrono::milliseconds LingerRemaining() const {
-    double linger_ms = EffectiveLingerMs();
-    // Defensive clamp: callers only poll when LingerEnabled(), but keep
-    // the math finite regardless.
-    if (!std::isfinite(linger_ms)) linger_ms = 1e9;
-    const auto linger = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::milli>(linger_ms));
-    if (buf_.empty()) {
-      return std::chrono::duration_cast<std::chrono::milliseconds>(linger);
-    }
+    const auto linger = std::chrono::milliseconds(policy_.max_linger_ms);
+    if (buf_.empty()) return linger;
     const auto deadline = first_buffered_ + linger;
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return std::chrono::milliseconds(0);
@@ -164,40 +91,11 @@ class BatchEmitter {
  private:
   std::shared_ptr<Channel<Out>> out_;
   BatchPolicy policy_;
-  std::shared_ptr<BatchTuner> tuner_;  ///< output edge's controller (or null)
   std::vector<Out> buf_;
   std::chrono::steady_clock::time_point first_buffered_;
 };
 
 namespace internal {
-
-/// Creates the per-edge adaptive controller for `channel` when either
-/// policy asks for one (BatchPolicy::adaptive() re-targets the batch
-/// size; CapacityPolicy::adaptive() additionally attaches a
-/// CapacityTuner that elastically resizes the channel bound, driven from
-/// the same sample windows). Returns nullptr for fully static edges —
-/// callers treat a null tuner as "use the static policy".
-template <typename U>
-std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
-                                      const CapacityPolicy& capacity_policy,
-                                      const std::shared_ptr<Channel<U>>& ch) {
-  if (!policy.adaptive() && !capacity_policy.adaptive()) return nullptr;
-  auto tuner = std::make_shared<BatchTuner>(
-      policy, [ch] { return ch->MetricsSnapshot(); });
-  if (capacity_policy.adaptive()) {
-    tuner->AttachCapacityTuner(std::make_shared<CapacityTuner>(
-        capacity_policy, ch->capacity(),
-        [ch](size_t c) { ch->Resize(c); },
-        [ch] { return ch->TakeQueueWatermarkWindow(); }));
-  }
-  return tuner;
-}
-
-template <typename U>
-std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
-                                      const std::shared_ptr<Channel<U>>& ch) {
-  return MakeTuner(policy, CapacityPolicy{}, ch);
-}
 
 /// The shared consume/transform/emit loop behind every 1-input operator.
 /// Drains `in` (record-at-a-time or in batches per `policy`), feeds each
@@ -212,15 +110,9 @@ std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
 /// In batched mode the loop uses the timed PopBatchFor while outputs are
 /// staged so a partially-filled batch is flushed after `max_linger_ms`
 /// even when the input goes quiet (linger < 0 disables the timer).
-///
-/// `in_tuner` is the adaptive controller of the INPUT edge (nullptr for
-/// static edges): when set, the pop size tracks the live tuner target
-/// each iteration, so a producer-side re-target propagates to this
-/// consumer within one transfer.
 template <typename In, typename Out, typename PerElement, typename AtExit>
 void RunStage(const std::shared_ptr<Channel<In>>& in,
               BatchEmitter<Out>& emitter, BatchPolicy policy,
-              const std::shared_ptr<BatchTuner>& in_tuner,
               PerElement&& per_element, AtExit&& at_exit) {
   bool open = true;
   if (!policy.batched()) {
@@ -232,14 +124,13 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
     }
   } else {
     std::vector<In> batch;
-    batch.reserve(policy.PopMax());
+    batch.reserve(policy.max_batch);
     while (open) {
       batch.clear();
-      const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
       size_t n = 0;
       if (emitter.has_pending() && policy.LingerEnabled()) {
-        const PollStatus status =
-            in->PopBatchFor(&batch, want, emitter.LingerRemaining(), &n);
+        const PollStatus status = in->PopBatchFor(
+            &batch, policy.max_batch, emitter.LingerRemaining(), &n);
         if (status == PollStatus::kEmpty) {
           // Linger expired with staged outputs: flush the partial batch.
           if (!emitter.Flush()) open = false;
@@ -247,7 +138,7 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
         }
         if (status == PollStatus::kClosed) break;
       } else {
-        n = in->PopBatch(&batch, want);
+        n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
       }
       for (size_t i = 0; i < n; ++i) {
@@ -343,21 +234,13 @@ class Pipeline {
   }
 
   /// Registers a channel as the named stage's output edge. If `name` is
-  /// empty, an auto-name "<op>#<index>" is generated. When the edge is
-  /// adaptive, pass its BatchTuner so stage snapshots carry the live
-  /// controller state (StageMetrics tuner_* fields). Returns the final
+  /// empty, an auto-name "<op>#<index>" is generated. Returns the final
   /// stage name.
   template <typename U>
   std::string RegisterChannelStage(const char* op, std::string name,
-                                   std::shared_ptr<Channel<U>> channel,
-                                   std::shared_ptr<BatchTuner> tuner =
-                                       nullptr) {
+                                   std::shared_ptr<Channel<U>> channel) {
     name = ResolveStageName(op, std::move(name));
-    RegisterStage(name, [channel, tuner = std::move(tuner)] {
-      StageMetrics m = channel->MetricsSnapshot();
-      if (tuner) tuner->FillStageMetrics(&m);
-      return m;
-    });
+    RegisterStage(name, [channel] { return channel->MetricsSnapshot(); });
     return name;
   }
 
@@ -434,7 +317,7 @@ namespace internal {
 template <typename In, typename T, typename Out, typename State>
 Flow<Out> KeyedParallelStage(
     Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
-    std::shared_ptr<BatchTuner> upstream_tuner, const BatchPolicy& inherited,
+    const BatchPolicy& inherited,
     std::function<void(In&&, const std::function<void(T&&)>&)> prefix,
     std::function<uint64_t(const T&)> key_fn,
     KeyedProcessFn<T, Out, State> process, size_t parallelism,
@@ -446,13 +329,9 @@ Flow<Out> KeyedParallelStage(
 /// they share the underlying channel. Each handle also carries a
 /// BatchPolicy that governs how operators built from it move elements —
 /// `WithBatching(BatchPolicy::Batched(64))` switches every downstream
-/// stage to amortized batch transfers, and
-/// `WithBatching(BatchPolicy::Adaptive())` gives every downstream edge
-/// its own self-tuning BatchTuner (the policy is inherited by the Flows
-/// those operators return, so one call at the source configures the
-/// whole graph). Adaptive handles additionally carry the tuner of the
-/// edge they reference, so the consumer an operator builds pops at the
-/// live target the edge's producer is flushing at.
+/// stage to amortized batch transfers (the policy is inherited by the
+/// Flows those operators return, so one call at the source configures
+/// the whole graph).
 ///
 /// Shutdown contract for every operator: when the downstream edge stops
 /// accepting (Push returns false because the consumer cancelled), the
@@ -461,54 +340,35 @@ Flow<Out> KeyedParallelStage(
 /// operator Close()s its output on every exit path, so downstream stages
 /// always observe end-of-stream. Cancellation mid-batch behaves exactly
 /// like cancellation mid-stream: staged elements are dropped, the signal
-/// is never lost (see BatchShutdownTest). Adaptive re-targeting never
-/// changes these semantics — only transfer granularity (proved by the
-/// adaptive arm of tests/stream_batch_equiv_test.cc).
+/// is never lost (see BatchShutdownTest).
 template <typename T>
 class Flow {
  public:
   Flow(Pipeline* pipeline, std::shared_ptr<Channel<T>> channel,
-       BatchPolicy policy = {}, std::shared_ptr<BatchTuner> tuner = nullptr)
-      : pipeline_(pipeline),
-        channel_(std::move(channel)),
-        policy_(policy),
-        tuner_(std::move(tuner)) {}
+       BatchPolicy policy = {})
+      : pipeline_(pipeline), channel_(std::move(channel)), policy_(policy) {}
 
   /// Returns a handle to the same edge whose downstream operators use
   /// `policy` for channel transfers. Semantics are unchanged — only the
   /// transfer granularity (and therefore lock amortization) differs.
-  /// Switching an adaptive edge to a static policy detaches the tuner
-  /// from the returned handle (the consumer then pops at the static
-  /// `max_batch`).
   Flow<T> WithBatching(BatchPolicy policy) const {
-    return Flow<T>(pipeline_, channel_, policy,
-                   policy.adaptive() ? tuner_ : nullptr);
+    return Flow<T>(pipeline_, channel_, policy);
   }
 
   const BatchPolicy& batch_policy() const { return policy_; }
 
-  /// The adaptive controller of this edge (nullptr on static edges).
-  /// Owned by the edge's producer; exposed for consumers, stage helpers
-  /// and tests that want the live target or a TunerState snapshot.
-  const std::shared_ptr<BatchTuner>& tuner() const { return tuner_; }
-
   /// Source from a pull function; the function returns nullopt when the
   /// stream is exhausted. With a batched policy the generator stages up
-  /// to the batch target (bounded by the effective linger) per transfer;
-  /// with an adaptive policy the staging threshold tracks the edge's
-  /// BatchTuner target. Default policy when `opts.batch` is unset:
-  /// record-at-a-time (Single).
+  /// to `max_batch` elements (bounded by the linger) per transfer.
+  /// Default policy when `opts.batch` is unset: record-at-a-time (Single).
   static Flow<T> FromGenerator(Pipeline* pipeline,
                                std::function<std::optional<T>()> next,
                                StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(BatchPolicy{});
+    const BatchPolicy policy = opts.batch.value_or(BatchPolicy{});
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
-    auto tuner = internal::MakeTuner(policy, opts.capacity_tuning, channel);
-    pipeline->RegisterChannelStage("source", std::move(opts.name), channel,
-                                   tuner);
-    pipeline->AddThread([channel, policy, tuner,
-                         next = std::move(next)]() mutable {
-      BatchEmitter<T> emitter(channel, policy, tuner);
+    pipeline->RegisterChannelStage("source", std::move(opts.name), channel);
+    pipeline->AddThread([channel, policy, next = std::move(next)]() mutable {
+      BatchEmitter<T> emitter(channel, policy);
       while (true) {
         std::optional<T> item = next();
         if (!item.has_value()) break;
@@ -522,13 +382,13 @@ class Flow {
       emitter.Flush();
       channel->Close();
     });
-    return Flow<T>(pipeline, std::move(channel), policy, std::move(tuner));
+    return Flow<T>(pipeline, std::move(channel), policy);
   }
 
   /// Source from a batch pull function: `next_batch(out, max_n)` appends
   /// up to `max_n` elements to `out` and returns how many it appended
-  /// (0 = end of stream). The per-call `max_n` is the edge's live batch
-  /// target, so batch-oriented producers (e.g. mlog's segment-aware
+  /// (0 = end of stream). The per-call `max_n` is the edge's `max_batch`,
+  /// so batch-oriented producers (e.g. mlog's segment-aware
   /// replay, mlog::Cursor::NextBatch) decode exactly one channel
   /// transfer's worth of records per call — source-side amortization
   /// matched to transport amortization. Prefer this over FromGenerator
@@ -538,30 +398,26 @@ class Flow {
       Pipeline* pipeline,
       std::function<size_t(std::vector<T>*, size_t)> next_batch,
       StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(BatchPolicy::Batched());
+    const BatchPolicy policy = opts.batch.value_or(BatchPolicy::Batched());
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
-    auto tuner = internal::MakeTuner(policy, opts.capacity_tuning, channel);
-    pipeline->RegisterChannelStage("source", std::move(opts.name), channel,
-                                   tuner);
+    pipeline->RegisterChannelStage("source", std::move(opts.name), channel);
     pipeline->AddThread(
-        [channel, policy, tuner, next_batch = std::move(next_batch)] {
+        [channel, want = std::max<size_t>(1, policy.max_batch),
+         next_batch = std::move(next_batch)] {
           std::vector<T> buf;
-          buf.reserve(policy.PopMax());
+          buf.reserve(want);
           while (true) {
             buf.clear();
-            const size_t want = std::max<size_t>(
-                1, tuner ? tuner->target() : policy.max_batch);
             const size_t n = next_batch(&buf, want);
             if (n == 0) break;
             // PushBatch accepting fewer than offered means the consumer
             // cancelled: stop generating.
             if (channel->PushBatch(std::move(buf)) != n) break;
-            buf.reserve(policy.PopMax());
-            if (tuner) tuner->OnRecords(n);
+            buf.reserve(want);
           }
           channel->Close();
         });
-    return Flow<T>(pipeline, std::move(channel), policy, std::move(tuner));
+    return Flow<T>(pipeline, std::move(channel), policy);
   }
 
   /// Source from a pre-materialized vector.
@@ -581,41 +437,33 @@ class Flow {
   /// 1:1 transform.
   template <typename Out>
   Flow<Out> Map(std::function<Out(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("map", std::move(opts.name), out,
-                                    out_tuner);
+    pipeline_->RegisterChannelStage("map", std::move(opts.name), out);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          fn = std::move(fn)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
+    pipeline_->AddThread([in, out, policy, fn = std::move(fn)] {
+      BatchEmitter<Out> emitter(out, policy);
       internal::RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&fn](T& item, BatchEmitter<Out>& em) { return em.Emit(fn(item)); },
           [](bool, BatchEmitter<Out>&) {});
       out->Close();
     });
-    return Flow<Out>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return Flow<Out>(pipeline_, std::move(out), policy);
   }
 
   /// 1:N transform.
   template <typename Out>
   Flow<Out> FlatMap(std::function<std::vector<Out>(const T&)> fn,
                     StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("flatmap", std::move(opts.name), out,
-                                    out_tuner);
+    pipeline_->RegisterChannelStage("flatmap", std::move(opts.name), out);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          fn = std::move(fn)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
+    pipeline_->AddThread([in, out, policy, fn = std::move(fn)] {
+      BatchEmitter<Out> emitter(out, policy);
       internal::RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&fn](T& item, BatchEmitter<Out>& em) {
             for (Out& o : fn(item)) {
               if (!em.Emit(std::move(o))) return false;
@@ -627,23 +475,19 @@ class Flow {
       // downstream Pop blocked forever.
       out->Close();
     });
-    return Flow<Out>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return Flow<Out>(pipeline_, std::move(out), policy);
   }
 
   /// Keeps elements satisfying the predicate.
   Flow<T> Filter(std::function<bool(const T&)> pred, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto out = std::make_shared<Channel<T>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("filter", std::move(opts.name), out,
-                                    out_tuner);
+    pipeline_->RegisterChannelStage("filter", std::move(opts.name), out);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          pred = std::move(pred)] {
-      BatchEmitter<T> emitter(out, policy, out_tuner);
+    pipeline_->AddThread([in, out, policy, pred = std::move(pred)] {
+      BatchEmitter<T> emitter(out, policy);
       internal::RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&pred](T& item, BatchEmitter<T>& em) {
             if (!pred(item)) return true;
             return em.Emit(std::move(item));
@@ -651,7 +495,7 @@ class Flow {
           [](bool, BatchEmitter<T>&) {});
       out->Close();
     });
-    return Flow<T>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return Flow<T>(pipeline_, std::move(out), policy);
   }
 
   /// Starts a fused chain: adjacent stateless stages (Map/Filter/FlatMap)
@@ -672,21 +516,18 @@ class Flow {
                          KeyedProcessFn<T, Out, State> process,
                          KeyedFlushFn<Out, State> flush = nullptr,
                          StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("keyed", std::move(opts.name), out,
-                                    out_tuner);
+    pipeline_->RegisterChannelStage("keyed", std::move(opts.name), out);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
+    pipeline_->AddThread([in, out, policy,
                           key_fn = std::move(key_fn),
                           process = std::move(process),
                           flush = std::move(flush)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
+      BatchEmitter<Out> emitter(out, policy);
       std::unordered_map<uint64_t, State> states;
       internal::RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&](T& item, BatchEmitter<Out>& em) {
             bool ok = true;
             auto emit = [&](Out o) {
@@ -705,7 +546,7 @@ class Flow {
           });
       out->Close();
     });
-    return Flow<Out>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return Flow<Out>(pipeline_, std::move(out), policy);
   }
 
   /// Keyed stateful processing with `parallelism` worker threads: elements
@@ -713,12 +554,9 @@ class Flow {
   /// range (the Flink keyed-stream execution model). Output order across
   /// workers is nondeterministic; per-key order is preserved.
   ///
-  /// Each router→worker partition edge carries its own BatchTuner /
-  /// CapacityTuner (adaptive policies only): a hot partition re-targets
-  /// its own edge without moving the cold ones, and the per-edge
-  /// controller state surfaces as `worker_edges` (plus `skew_ratio`) on
-  /// this stage's row in Report()/ReportJson() — see
-  /// docs/STREAM_TUNING.md §7.
+  /// Each router→worker partition edge is its own channel; its counters
+  /// surface as `worker_edges` (plus `skew_ratio`) on this stage's row in
+  /// Report()/ReportJson().
   template <typename Out, typename State>
   Flow<Out> KeyedProcessParallel(std::function<uint64_t(const T&)> key_fn,
                                  KeyedProcessFn<T, Out, State> process,
@@ -730,7 +568,7 @@ class Flow {
                                       std::move(flush), std::move(opts));
     }
     return internal::KeyedParallelStage<T, T, Out, State>(
-        pipeline_, channel_, tuner_, policy_, /*prefix=*/nullptr,
+        pipeline_, channel_, policy_, /*prefix=*/nullptr,
         std::move(key_fn), std::move(process), parallelism, std::move(flush),
         std::move(opts), "keyed_par");
   }
@@ -750,21 +588,18 @@ class Flow {
                       StageOptions opts = {}) {
     using Result =
         std::pair<uint64_t, typename TumblingWindower<T, Acc>::WindowResult>;
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto out = std::make_shared<Channel<Result>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("window", std::move(opts.name), out,
-                                    out_tuner);
+    pipeline_->RegisterChannelStage("window", std::move(opts.name), out);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
+    pipeline_->AddThread([in, out, policy,
                           key_fn = std::move(key_fn),
                           time_fn = std::move(time_fn), window_ms,
                           allowed_lateness_ms, add = std::move(add)] {
-      BatchEmitter<Result> emitter(out, policy, out_tuner);
+      BatchEmitter<Result> emitter(out, policy);
       std::unordered_map<uint64_t, TumblingWindower<T, Acc>> windowers;
       internal::RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&](T& item, BatchEmitter<Result>& em) {
             const uint64_t key = key_fn(item);
             auto [it, inserted] = windowers.try_emplace(
@@ -792,30 +627,27 @@ class Flow {
           });
       out->Close();
     });
-    return Flow<Result>(pipeline_, std::move(out), policy,
-                        std::move(out_tuner));
+    return Flow<Result>(pipeline_, std::move(out), policy);
   }
 
   /// Terminal: applies `fn` to every element. Runs until end-of-stream;
-  /// under batching it pops amortized transfers (at the live tuner target
-  /// on adaptive edges) and applies `fn` element-at-a-time. A sink owns
+  /// under batching it pops amortized transfers and applies `fn`
+  /// element-at-a-time. A sink owns
   /// no output channel, so only `opts.batch` (pop-policy override) is
   /// meaningful here; the other StageOptions fields are ignored.
   void Sink(std::function<void(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, policy, in_tuner, fn = std::move(fn)] {
+    pipeline_->AddThread([in, policy, fn = std::move(fn)] {
       if (!policy.batched()) {
         while (auto item = in->Pop()) fn(*item);
         return;
       }
       std::vector<T> batch;
-      batch.reserve(policy.PopMax());
+      batch.reserve(policy.max_batch);
       while (true) {
         batch.clear();
-        const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
-        const size_t n = in->PopBatch(&batch, want);
+        const size_t n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
         for (size_t i = 0; i < n; ++i) fn(batch[i]);
       }
@@ -828,10 +660,9 @@ class Flow {
   /// elements already popped in the cancelling batch are dropped — the
   /// same fate queued elements meet under CloseAndDrain.
   void SinkWhile(std::function<bool(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
+    const BatchPolicy policy = opts.batch.value_or(policy_);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, policy, in_tuner, fn = std::move(fn)] {
+    pipeline_->AddThread([in, policy, fn = std::move(fn)] {
       if (!policy.batched()) {
         while (auto item = in->Pop()) {
           if (!fn(*item)) {
@@ -842,12 +673,11 @@ class Flow {
         return;
       }
       std::vector<T> batch;
-      batch.reserve(policy.PopMax());
+      batch.reserve(policy.max_batch);
       bool open = true;
       while (open) {
         batch.clear();
-        const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
-        const size_t n = in->PopBatch(&batch, want);
+        const size_t n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
         for (size_t i = 0; i < n; ++i) {
           if (!fn(batch[i])) {
@@ -877,7 +707,6 @@ class Flow {
   Pipeline* pipeline_;
   std::shared_ptr<Channel<T>> channel_;
   BatchPolicy policy_;
-  std::shared_ptr<BatchTuner> tuner_;  ///< this edge's controller (or null)
 };
 
 namespace internal {
@@ -889,54 +718,30 @@ namespace internal {
 /// hash-partitions the resulting `T` elements straight into the
 /// per-worker partition edges — zero channels between the upstream edge
 /// and the keyed boundary.
-///
-/// Partition-edge tuning: every router→worker edge gets its own
-/// BatchTuner/CapacityTuner (adaptive policies only). The router drives
-/// each edge's controller with the records it scatters there and each
-/// worker pops at its own edge's live target, so a hot partition's
-/// back-off (slow per-pop windows on a loaded worker) stays on its own
-/// edge while the starvation gate (BatchPolicy::
-/// backoff_max_starved_fraction) keeps the arrival-limited cold edges
-/// from shrinking in sympathy. The per-edge snapshots nest under the
-/// stage's report row as `worker_edges` (with `skew_ratio`); aggregate
-/// them with SummarizeWorkerEdges.
-///
-/// Router-input edge: the router's pop size is governed by its own
-/// controller over the upstream channel, seeded from the upstream
-/// tuner's live target — NOT by the upstream producer's tuner. The fused
-/// prefix runs inside the router, so per-pop cost is no longer what the
-/// upstream controller measured; sharing that controller would let the
-/// router's consumption profile re-target the producer's flush size.
-/// Registered as "<stage>.router_in" on adaptive policies.
 template <typename In, typename T, typename Out, typename State>
 Flow<Out> KeyedParallelStage(
     Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
-    std::shared_ptr<BatchTuner> upstream_tuner, const BatchPolicy& inherited,
+    const BatchPolicy& inherited,
     std::function<void(In&&, const std::function<void(T&&)>&)> prefix,
     std::function<uint64_t(const T&)> key_fn,
     KeyedProcessFn<T, Out, State> process, size_t parallelism,
     KeyedFlushFn<Out, State> flush, StageOptions opts, const char* op) {
-  const BatchPolicy policy = opts.EffectivePolicy(inherited);
+  const BatchPolicy policy = opts.batch.value_or(inherited);
   auto out = std::make_shared<Channel<Out>>(opts.capacity);
-  // One tuner for the shared output edge: all workers flush at the same
-  // live target and feed the same controller (OnRecords is thread-safe).
-  auto out_tuner = MakeTuner(policy, opts.capacity_tuning, out);
   const std::string stage = pipeline->ResolveStageName(op, std::move(opts.name));
 
   if (parallelism <= 1) {
     // One worker: the prefix and the keyed state machine share a single
     // stage thread — no router, no partition edges.
-    pipeline->RegisterChannelStage(op, stage, out, out_tuner);
-    auto in_tuner = policy.adaptive() ? upstream_tuner : nullptr;
-    pipeline->AddThread([in, out, policy, in_tuner, out_tuner,
-                         prefix = std::move(prefix),
+    pipeline->RegisterChannelStage(op, stage, out);
+    pipeline->AddThread([in, out, policy, prefix = std::move(prefix),
                          key_fn = std::move(key_fn),
                          process = std::move(process),
                          flush = std::move(flush)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
+      BatchEmitter<Out> emitter(out, policy);
       std::unordered_map<uint64_t, State> states;
       RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&](In& item, BatchEmitter<Out>& em) {
             bool ok = true;
             auto emit = [&](Out o) {
@@ -962,59 +767,30 @@ Flow<Out> KeyedParallelStage(
           });
       out->Close();
     });
-    return Flow<Out>(pipeline, std::move(out), policy, std::move(out_tuner));
+    return Flow<Out>(pipeline, std::move(out), policy);
   }
 
-  // Partition router: one input channel per worker, each edge with its
-  // own adaptive controllers.
+  // Partition router: one input channel per worker.
   auto partitions =
       std::make_shared<std::vector<std::shared_ptr<Channel<T>>>>();
-  auto part_tuners =
-      std::make_shared<std::vector<std::shared_ptr<BatchTuner>>>();
   for (size_t w = 0; w < parallelism; ++w) {
-    auto part = std::make_shared<Channel<T>>(opts.capacity);
-    part_tuners->push_back(MakeTuner(policy, opts.capacity_tuning, part));
-    partitions->push_back(std::move(part));
+    partitions->push_back(std::make_shared<Channel<T>>(opts.capacity));
   }
   // One report row for the whole stage: the shared output edge plus the
   // per-partition edges nested as worker_edges.
-  pipeline->RegisterStage(
-      stage, [out, out_tuner, partitions, part_tuners, stage] {
-        StageMetrics m = out->MetricsSnapshot();
-        if (out_tuner) out_tuner->FillStageMetrics(&m);
-        m.worker_edges.reserve(partitions->size());
-        for (size_t w = 0; w < partitions->size(); ++w) {
-          StageMetrics e = (*partitions)[w]->MetricsSnapshot();
-          e.stage = stage + ".part" + std::to_string(w);
-          if ((*part_tuners)[w]) (*part_tuners)[w]->FillStageMetrics(&e);
-          m.worker_edges.push_back(std::move(e));
-        }
-        m.skew_ratio = WorkerEdgeSkewRatio(m.worker_edges);
-        return m;
-      });
-
-  // The router's own input controller (see the doc comment above). No
-  // capacity tuner is attached: the upstream channel's bound belongs to
-  // the upstream stage's options, and only one CapacityTuner may own a
-  // channel's watermark window.
-  std::shared_ptr<BatchTuner> router_in_tuner;
-  if (policy.adaptive()) {
-    BatchPolicy seeded = policy;
-    if (upstream_tuner) {
-      seeded.max_batch = std::clamp(upstream_tuner->target(),
-                                    policy.min_batch, policy.max_batch_cap);
+  pipeline->RegisterStage(stage, [out, partitions, stage] {
+    StageMetrics m = out->MetricsSnapshot();
+    m.worker_edges.reserve(partitions->size());
+    for (size_t w = 0; w < partitions->size(); ++w) {
+      StageMetrics e = (*partitions)[w]->MetricsSnapshot();
+      e.stage = stage + ".part" + std::to_string(w);
+      m.worker_edges.push_back(std::move(e));
     }
-    router_in_tuner = std::make_shared<BatchTuner>(
-        seeded, [in] { return in->MetricsSnapshot(); });
-    pipeline->RegisterStage(stage + ".router_in", [in, router_in_tuner] {
-      StageMetrics m = in->MetricsSnapshot();
-      router_in_tuner->FillStageMetrics(&m);
-      return m;
-    });
-  }
+    m.skew_ratio = WorkerEdgeSkewRatio(m.worker_edges);
+    return m;
+  });
 
-  pipeline->AddThread([in, partitions, part_tuners, parallelism, policy,
-                       router_in_tuner, key_fn,
+  pipeline->AddThread([in, partitions, parallelism, policy, key_fn,
                        prefix = std::move(prefix)] {
     // Route through the Mix64 finalizer, not std::hash: libstdc++'s
     // identity hash would fold structured keys (vessel IDs stepping by
@@ -1028,8 +804,6 @@ Flow<Out> KeyedParallelStage(
           // A worker cancelled its partition (downstream gone): stop
           // routing and propagate the cancel to our own input.
           open = false;
-        } else if ((*part_tuners)[w]) {
-          (*part_tuners)[w]->OnRecords(1);
         }
       };
       while (open) {
@@ -1050,7 +824,7 @@ Flow<Out> KeyedParallelStage(
       // between the pop and the scatter.
       std::vector<In> batch;
       std::vector<std::vector<T>> scatter(parallelism);
-      batch.reserve(policy.PopMax());
+      batch.reserve(policy.max_batch);
       bool open = true;
       auto stage_elem = [&](T&& t) {
         scatter[HashPartition(key_fn(t), parallelism)].push_back(
@@ -1058,9 +832,7 @@ Flow<Out> KeyedParallelStage(
       };
       while (open) {
         batch.clear();
-        const size_t want =
-            router_in_tuner ? router_in_tuner->target() : policy.PopMax();
-        const size_t n = in->PopBatch(&batch, want);
+        const size_t n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
         for (size_t i = 0; i < n; ++i) {
           if constexpr (std::is_same_v<In, T>) {
@@ -1071,15 +843,12 @@ Flow<Out> KeyedParallelStage(
           }
           prefix(std::move(batch[i]), stage_elem);
         }
-        if (router_in_tuner) router_in_tuner->OnRecords(n);
         for (size_t w = 0; w < parallelism && open; ++w) {
           if (scatter[w].empty()) continue;
           const size_t offered = scatter[w].size();
           if ((*partitions)[w]->PushBatch(std::move(scatter[w])) !=
               offered) {
             open = false;
-          } else if ((*part_tuners)[w]) {
-            (*part_tuners)[w]->OnRecords(offered);
           }
           scatter[w].clear();
         }
@@ -1090,17 +859,15 @@ Flow<Out> KeyedParallelStage(
   });
 
   // Workers share the output channel; the last one to finish closes it.
-  // Each worker pops its partition at that edge's own live target.
   auto live_workers = std::make_shared<std::atomic<size_t>>(parallelism);
   for (size_t w = 0; w < parallelism; ++w) {
     auto my_in = (*partitions)[w];
-    auto my_tuner = (*part_tuners)[w];
-    pipeline->AddThread([my_in, my_tuner, out, out_tuner, key_fn, process,
-                         flush, live_workers, policy] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
+    pipeline->AddThread([my_in, out, key_fn, process, flush, live_workers,
+                         policy] {
+      BatchEmitter<Out> emitter(out, policy);
       std::unordered_map<uint64_t, State> states;
       RunStage(
-          my_in, emitter, policy, my_tuner,
+          my_in, emitter, policy,
           [&](T& item, BatchEmitter<Out>& em) {
             bool ok = true;
             auto emit = [&](Out o) {
@@ -1120,7 +887,7 @@ Flow<Out> KeyedParallelStage(
       if (live_workers->fetch_sub(1) == 1) out->Close();
     });
   }
-  return Flow<Out>(pipeline, std::move(out), policy, std::move(out_tuner));
+  return Flow<Out>(pipeline, std::move(out), policy);
 }
 
 }  // namespace internal
@@ -1206,9 +973,9 @@ class FusedChain {
                                  KeyedFlushFn<Out, State> flush = nullptr,
                                  StageOptions opts = {}) const {
     return internal::KeyedParallelStage<In, Cur, Out, State>(
-        source_.pipeline(), source_.channel(), source_.tuner(),
-        source_.batch_policy(), apply_, std::move(key_fn), std::move(process),
-        parallelism, std::move(flush), std::move(opts), "fused_keyed");
+        source_.pipeline(), source_.channel(), source_.batch_policy(), apply_,
+        std::move(key_fn), std::move(process), parallelism, std::move(flush),
+        std::move(opts), "fused_keyed");
   }
 
   /// Materializes the fused chain as one pipeline stage with one output
@@ -1216,18 +983,14 @@ class FusedChain {
   /// (overridable via `opts.batch` like any other operator).
   Flow<Cur> Emit(StageOptions opts = {}) const {
     Pipeline* pipeline = source_.pipeline();
-    const BatchPolicy policy = opts.EffectivePolicy(source_.batch_policy());
+    const BatchPolicy policy = opts.batch.value_or(source_.batch_policy());
     auto out = std::make_shared<Channel<Cur>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline->RegisterChannelStage("fused", std::move(opts.name), out,
-                                   out_tuner);
+    pipeline->RegisterChannelStage("fused", std::move(opts.name), out);
     auto in = source_.channel();
-    auto in_tuner = policy.adaptive() ? source_.tuner() : nullptr;
-    pipeline->AddThread([in, out, policy, in_tuner, out_tuner,
-                         apply = apply_] {
-      BatchEmitter<Cur> emitter(out, policy, out_tuner);
+    pipeline->AddThread([in, out, policy, apply = apply_] {
+      BatchEmitter<Cur> emitter(out, policy);
       internal::RunStage(
-          in, emitter, policy, in_tuner,
+          in, emitter, policy,
           [&apply](In& item, BatchEmitter<Cur>& em) {
             bool ok = true;
             apply(std::move(item), [&](Cur&& c) {
@@ -1238,7 +1001,7 @@ class FusedChain {
           [](bool, BatchEmitter<Cur>&) {});
       out->Close();
     });
-    return Flow<Cur>(pipeline, std::move(out), policy, std::move(out_tuner));
+    return Flow<Cur>(pipeline, std::move(out), policy);
   }
 
  private:

@@ -26,7 +26,7 @@ namespace tcmf::stream {
 ///
 /// Usage:
 ///
-///   ShardedPipeline sp(4, {.batch = BatchPolicy::Adaptive()});
+///   ShardedPipeline sp(4, {.batch = BatchPolicy::Batched(256, 1)});
 ///   sp.Build([&](Pipeline* p, size_t shard) {
 ///     auto flow = mlog::PartitionedLogSource(p, topic, shard,
 ///                                            {.stage = sp.options()});
@@ -44,8 +44,8 @@ namespace tcmf::stream {
 class ShardedPipeline {
  public:
   /// `defaults` is the facade's StageOptions template: one place to
-  /// configure batching/capacity/latency-budget for every stage of every
-  /// shard (builders fetch it via options() and override per stage).
+  /// configure batching and capacity for every stage of every shard
+  /// (builders fetch it via options() and override per stage).
   explicit ShardedPipeline(size_t shards, StageOptions defaults = {})
       : defaults_(std::move(defaults)) {
     if (shards == 0) shards = 1;

@@ -16,14 +16,11 @@ namespace tcmf::synopses {
 ///
 /// Stage configuration follows the unified `(flow, config, StageOptions,
 /// ...)` helper signature: `stage.name` defaults to "synopses" and
-/// `stage.batch` to the adaptive batched transport — input, partition
-/// and output edges all move amortized batch transfers. With
-/// parallelism > 1 every router→worker partition edge carries its own
-/// BatchTuner, surfaced as the stage row's `worker_edges` (with
-/// `skew_ratio`) in ReportJson (pass `.batch = BatchPolicy::Batched(n)`
-/// for a pinned static size, `BatchPolicy::Single()` for
-/// record-at-a-time; `.capacity_tuning = CapacityPolicy::Adaptive()`
-/// makes the channel bounds elastic; see docs/STREAM_TUNING.md).
+/// `stage.batch` to the upstream Flow's policy, which then governs the
+/// input, partition and output edges alike. With parallelism > 1 every
+/// router→worker partition edge is reported as the stage row's
+/// `worker_edges` (with `skew_ratio`) in ReportJson (see
+/// docs/STREAM_TUNING.md).
 namespace internal {
 
 struct SynopsesState {
@@ -54,7 +51,6 @@ inline stream::KeyedFlushFn<CriticalPoint, SynopsesState> SynopsesFlush() {
 inline stream::Flow<CriticalPoint> SynopsesStage(
     stream::Flow<Position> flow, const SynopsesConfig& config,
     size_t parallelism = 1, stream::StageOptions stage = {}) {
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "synopses";
   return flow.KeyedProcessParallel<CriticalPoint, internal::SynopsesState>(
       [](const Position& p) { return p.entity_id; },
@@ -70,7 +66,6 @@ template <typename In>
 stream::Flow<CriticalPoint> SynopsesStage(
     stream::FusedChain<In, Position> chain, const SynopsesConfig& config,
     size_t parallelism = 1, stream::StageOptions stage = {}) {
-  if (!stage.batch.has_value()) stage.batch = stream::BatchPolicy::Adaptive();
   if (stage.name.empty()) stage.name = "synopses";
   return chain.template KeyedProcessParallel<CriticalPoint,
                                              internal::SynopsesState>(

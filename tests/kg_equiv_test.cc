@@ -68,7 +68,9 @@ TEST(DictionaryPropertyTest, RandomTermsRoundTripWithDenseStableIds) {
     EXPECT_EQ(dict.Encode(t), id);
     EXPECT_EQ(dict.Lookup(t), id);
     auto [it, inserted] = by_id.try_emplace(id, t);
-    if (!inserted) EXPECT_EQ(it->second, t);  // ids are injective
+    if (!inserted) {
+      EXPECT_EQ(it->second, t);  // ids are injective
+    }
     max_id = std::max(max_id, id);
     // Round trip through Decode.
     auto back = dict.Decode(id);

@@ -64,7 +64,9 @@ stream::Record RandomRecord(Rng& rng) {
   r.set_event_time(rng.UniformInt(-4'000'000'000'000LL, 4'000'000'000'000LL));
   const int64_t n = rng.UniformInt(0, 8);
   for (int64_t i = 0; i < n; ++i) {
-    const std::string name = "f" + std::to_string(i);
+    // Appended, not "f" + ...: GCC 12 reports a false -Wrestrict there.
+    std::string name = "f";
+    name += std::to_string(i);
     switch (rng.UniformInt(0, 5)) {
       case 0:
         r.Set(name, stream::Value{});  // null

@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
+#include <cstdlib>
 #include <future>
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "stream/channel.h"
@@ -869,6 +875,185 @@ TEST(PipelineMetricsTest, BackpressureShowsAsProducerBlockedTime) {
   auto report = pipeline.Report();
   ASSERT_EQ(report.size(), 1u);
   EXPECT_GT(report[0].producer_blocked_ns, 0u);  // slow consumer visible
+}
+
+// Just enough JSON to read Pipeline::ReportJson() back: objects, arrays,
+// strings, numbers and booleans.
+struct JsonValue {
+  double number = 0.0;
+  std::string str;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  std::set<std::string> Keys() const {
+    std::set<std::string> keys;
+    for (const auto& [key, value] : object) keys.insert(key);
+    return keys;
+  }
+  const JsonValue& At(const std::string& key) const {
+    for (const auto& [k, value] : object) {
+      if (k == key) return value;
+    }
+    ADD_FAILURE() << "missing key " << key;
+    static const JsonValue kMissing;
+    return kMissing;
+  }
+};
+
+class JsonReader {
+ public:
+  explicit JsonReader(std::string text) : s_(std::move(text)) {}
+
+  /// True when the whole text is one well-formed value.
+  bool Parse(JsonValue* out) {
+    const bool ok = Value(out);
+    SkipWs();
+    return ok && pos_ == s_.size();
+  }
+
+ private:
+  void SkipWs() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
+      ++pos_;
+    }
+  }
+  bool Eat(char c) {
+    SkipWs();
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  bool String(std::string* out) {
+    if (!Eat('"')) return false;
+    while (pos_ < s_.size() && s_[pos_] != '"') {
+      if (s_[pos_] == '\\' && ++pos_ >= s_.size()) return false;
+      out->push_back(s_[pos_++]);
+    }
+    return Eat('"');
+  }
+  bool Value(JsonValue* v) {
+    SkipWs();
+    if (pos_ >= s_.size()) return false;
+    const char c = s_[pos_];
+    if (c == '"') return String(&v->str);
+    if (c == '[') {
+      ++pos_;
+      if (Eat(']')) return true;
+      do {
+        v->array.emplace_back();
+        if (!Value(&v->array.back())) return false;
+      } while (Eat(','));
+      return Eat(']');
+    }
+    if (c == '{') {
+      ++pos_;
+      if (Eat('}')) return true;
+      do {
+        std::string key;
+        if (!String(&key) || !Eat(':')) return false;
+        v->object.emplace_back(std::move(key), JsonValue{});
+        if (!Value(&v->object.back().second)) return false;
+      } while (Eat(','));
+      return Eat('}');
+    }
+    for (const char* word : {"true", "false"}) {
+      const std::string w(word);
+      if (s_.compare(pos_, w.size(), w) == 0) {
+        pos_ += w.size();
+        v->str = w;
+        return true;
+      }
+    }
+    const char* begin = s_.c_str() + pos_;
+    char* end = nullptr;
+    v->number = std::strtod(begin, &end);
+    if (end == begin) return false;
+    pos_ += static_cast<size_t>(end - begin);
+    return true;
+  }
+
+  std::string s_;
+  size_t pos_ = 0;
+};
+
+/// Collects every object key of `v` and of the values nested in it.
+void CollectKeys(const JsonValue& v, std::set<std::string>* keys) {
+  for (const auto& [key, value] : v.object) {
+    keys->insert(key);
+    CollectKeys(value, keys);
+  }
+  for (const JsonValue& e : v.array) CollectKeys(e, keys);
+}
+
+// The stage-row schema every report consumer reads (bench_micro rows,
+// perfbench's traced stage reports): a plain row carries exactly the
+// core counters; a keyed-parallel row adds skew_ratio and one core-only
+// row per partition edge.
+TEST(PipelineMetricsTest, ReportJsonStageRowSchemaIsPinned) {
+  Pipeline pipeline;
+  std::vector<std::pair<uint64_t, int>> input;
+  for (int i = 0; i < 4000; ++i) {
+    input.push_back({static_cast<uint64_t>(i % 8), i});
+  }
+  size_t sunk = 0;
+  Flow<std::pair<uint64_t, int>>::FromVector(
+      &pipeline, input,
+      {.name = "src", .capacity = 64, .batch = BatchPolicy::Batched(32, 1)})
+      .KeyedProcessParallel<int, int>(
+          [](const std::pair<uint64_t, int>& e) { return e.first; },
+          [](const std::pair<uint64_t, int>& e, int&,
+             const std::function<void(int)>& emit) { emit(e.second); },
+          /*parallelism=*/2, nullptr, {.name = "keyed", .capacity = 64})
+      .Sink([&sunk](const int&) { ++sunk; });
+  pipeline.Run();
+  ASSERT_EQ(sunk, input.size());
+
+  JsonValue report;
+  ASSERT_TRUE(JsonReader(pipeline.ReportJson()).Parse(&report))
+      << pipeline.ReportJson();
+  EXPECT_EQ(report.Keys(),
+            (std::set<std::string>{"started_at_ms", "uptime_ms", "stages"}));
+  const std::vector<JsonValue>& stages = report.At("stages").array;
+  ASSERT_EQ(stages.size(), 2u);
+
+  const std::set<std::string> kCore = {
+      "stage",          "records_in",           "records_out",
+      "batches_in",     "batches_out",          "mean_batch_in",
+      "mean_batch_out", "queue_high_watermark", "capacity",
+      "producer_blocked_ns", "consumer_blocked_ns", "push_rejected",
+      "dropped_on_cancel",   "late_dropped",        "cancelled",
+      "bytes",          "io_syncs",             "recovered",
+      "truncated_bytes"};
+  EXPECT_EQ(stages[0].At("stage").str, "src");
+  EXPECT_EQ(stages[0].Keys(), kCore);
+
+  const JsonValue& keyed = stages[1];
+  EXPECT_EQ(keyed.At("stage").str, "keyed");
+  std::set<std::string> keyed_keys = kCore;
+  keyed_keys.insert({"skew_ratio", "worker_edges"});
+  EXPECT_EQ(keyed.Keys(), keyed_keys);
+  const std::vector<JsonValue>& edges = keyed.At("worker_edges").array;
+  ASSERT_EQ(edges.size(), 2u);
+  double routed = 0.0;
+  double hottest = 0.0;
+  for (size_t w = 0; w < edges.size(); ++w) {
+    EXPECT_EQ(edges[w].Keys(), kCore);
+    EXPECT_EQ(edges[w].At("stage").str, "keyed.part" + std::to_string(w));
+    routed += edges[w].At("records_in").number;
+    hottest = std::max(hottest, edges[w].At("records_in").number);
+  }
+  EXPECT_EQ(routed, static_cast<double>(input.size()));
+  EXPECT_NEAR(keyed.At("skew_ratio").number, hottest / (routed / 2), 0.01);
+
+  // No controller block survives anywhere in the report.
+  std::set<std::string> all_keys;
+  CollectKeys(report, &all_keys);
+  for (const std::string& key : all_keys) {
+    EXPECT_NE(key, "tuned");
+    EXPECT_NE(key.rfind("tuner_", 0), 0u) << key;
+    EXPECT_NE(key.rfind("capacity_", 0), 0u) << key;
+  }
 }
 
 // -------------------------------------- Pipeline: keyed tumbling windows
