@@ -22,6 +22,16 @@ double ElapsedMs(Clock::time_point start) {
       .count();
 }
 
+bool KeyLess(const rdf::Posting& p, uint64_t key) { return p.key < key; }
+
+// The first (smallest) object of subject `s` in a (subject, object)-sorted
+// postings span, or 0 when `s` has none (dictionary ids start at 1).
+uint64_t FirstObject(rdf::AdjacencyIndex::Span span, uint64_t s) {
+  const rdf::Posting* pos =
+      std::lower_bound(span.first, span.second, s, KeyLess);
+  return pos != span.second && pos->key == s ? pos->value : 0;
+}
+
 // Advances `cur` within [cur, end) to the first posting with key >= s by
 // exponential (galloping) search: cheap when the next match is near —
 // the common case when both lists are subject-sorted — and O(log gap)
@@ -36,9 +46,7 @@ const rdf::Posting* Gallop(const rdf::Posting* cur, const rdf::Posting* end,
     step *= 2;
   }
   const rdf::Posting* hi = (probe + step < end) ? probe + step : end;
-  return std::lower_bound(
-      probe, hi, s,
-      [](const rdf::Posting& p, uint64_t key) { return p.key < key; });
+  return std::lower_bound(probe, hi, s, KeyLess);
 }
 
 }  // namespace
@@ -105,19 +113,10 @@ void KnowledgeStore::AddPositionNode(const rdf::Term& subject, double lon,
 }
 
 void KnowledgeStore::Compile() {
-  vertical_.clear();
   std::vector<rdf::EncodedTriple> all;
   all.reserve(total_triples_);
   for (const auto& partition : partitions_) {
-    for (const rdf::EncodedTriple& t : partition) {
-      vertical_[t.p].push_back({t.s, t.o});
-      all.push_back(t);
-    }
-  }
-  for (auto& [p, list] : vertical_) {
-    std::sort(list.begin(), list.end(), [](const SO& a, const SO& b) {
-      return a.s < b.s || (a.s == b.s && a.o < b.o);
-    });
+    all.insert(all.end(), partition.begin(), partition.end());
   }
   adjacency_.Build(all);
   compiled_ = true;
@@ -133,15 +132,15 @@ void KnowledgeStore::BuildPropertyTable(
   // only: the property table materializes the star join).
   std::unordered_map<uint64_t, std::vector<uint64_t>> rows;
   for (size_t col = 0; col < predicate_ids.size(); ++col) {
-    auto it = vertical_.find(predicate_ids[col]);
-    if (it == vertical_.end()) {
+    auto [first, last] = adjacency_.Subjects(predicate_ids[col]);
+    if (first == last) {
       property_tables_.push_back(std::move(table));
       return;  // empty table: one column has no triples
     }
-    for (const SO& so : it->second) {
+    for (const rdf::Posting* so = first; so != last; ++so) {
       auto [rit, inserted] = rows.try_emplace(
-          so.s, std::vector<uint64_t>(predicate_ids.size(), 0));
-      if (rit->second[col] == 0) rit->second[col] = so.o;
+          so->key, std::vector<uint64_t>(predicate_ids.size(), 0));
+      if (rit->second[col] == 0) rit->second[col] = so->value;
     }
   }
   for (auto& [s, row] : rows) {
@@ -177,22 +176,12 @@ bool KnowledgeStore::ExactStMatch(
   // Deliberately pays the realistic post-processing cost: fetch the WKT
   // and timestamp literals of the subject and parse them, exactly what a
   // layout without pushdown has to do for every candidate.
-  auto fetch = [&](uint64_t pid) -> const SO* {
-    auto it = vertical_.find(pid);
-    if (it == vertical_.end()) return nullptr;
-    const std::vector<SO>& list = it->second;
-    auto pos = std::lower_bound(
-        list.begin(), list.end(), subject,
-        [](const SO& so, uint64_t s) { return so.s < s; });
-    if (pos == list.end() || pos->s != subject) return nullptr;
-    return &*pos;
-  };
-  const SO* wkt = fetch(wkt_pid_);
-  const SO* ts = fetch(ts_pid_);
-  if (wkt == nullptr || ts == nullptr) return false;
+  const uint64_t wkt = FirstObject(adjacency_.Subjects(wkt_pid_), subject);
+  const uint64_t ts = FirstObject(adjacency_.Subjects(ts_pid_), subject);
+  if (wkt == 0 || ts == 0) return false;
 
-  std::optional<rdf::Term> wkt_term = dict_.Decode(wkt->o);
-  std::optional<rdf::Term> ts_term = dict_.Decode(ts->o);
+  std::optional<rdf::Term> wkt_term = dict_.Decode(wkt);
+  std::optional<rdf::Term> ts_term = dict_.Decode(ts);
   if (!wkt_term || !ts_term) return false;
   Result<geom::LonLat> point = geom::ParseWktPoint(wkt_term->lexical);
   Result<long long> t = ParseInt(ts_term->lexical);
@@ -229,6 +218,16 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
                               std::memory_order_relaxed);
     if (metrics != nullptr) *metrics = local;
     return result;
+  };
+  // Keeps a complete row, after the late exact st-filter when the query
+  // has a box (every plan, pushdown or not, ends here).
+  auto emit = [&](StarRow row) {
+    ++local.candidate_subjects;
+    if (query.has_st_constraint) {
+      ++local.st_filter_evaluations;
+      if (!ExactStMatch(row.subject, query.st_box)) return;
+    }
+    rows.push_back(std::move(row));
   };
 
   if (k == 0) return finish({});
@@ -276,13 +275,7 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
     for (auto& [s, slots] : merged) {
       bool complete = std::all_of(slots.begin(), slots.end(),
                                   [](uint64_t o) { return o != 0; });
-      if (!complete) continue;
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-      }
-      rows.push_back({s, slots});
+      if (complete) emit({s, std::move(slots)});
     }
     return finish(std::move(rows));
   }
@@ -314,69 +307,59 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
           continue;
         }
       }
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-      }
       StarRow row;
       row.subject = s;
       row.objects.reserve(k);
       for (size_t slot = 0; slot < k; ++slot) {
         row.objects.push_back(table->rows[i][col_of[slot]]);
       }
-      rows.push_back(std::move(row));
+      emit(std::move(row));
+    }
+    return finish(std::move(rows));
+  }
+
+  // The vertical-partitioning and adjacency-index plans read the same
+  // per-predicate (subject, object)-sorted postings; they differ only in
+  // the join that walks them.
+  std::vector<rdf::AdjacencyIndex::Span> spans(k);
+  for (size_t i = 0; i < k; ++i) {
+    spans[i] = adjacency_.Subjects(query.predicate_ids[i]);
+    if (spans[i].first == spans[i].second) return finish({});
+  }
+
+  if ((plan == StarPlan::kVerticalPartitionPushdown ||
+       plan == StarPlan::kAdjacencyIndexPushdown) &&
+      query.has_st_constraint) {
+    // Integer st-cell pre-filter, then one postings probe per slot.
+    for (const auto& [s, cell] : subject_stcell_) {
+      ++local.triples_scanned;  // side-index probe (integer compare)
+      if (!encoder_.MayIntersect(cell, query.st_box)) continue;
+      StarRow row{s, std::vector<uint64_t>(k, 0)};
+      bool complete = true;
+      for (size_t i = 0; i < k && complete; ++i) {
+        ++local.triples_scanned;  // one indexed probe
+        row.objects[i] = FirstObject(spans[i], s);
+        complete = row.objects[i] != 0;
+      }
+      if (complete) emit(std::move(row));
     }
     return finish(std::move(rows));
   }
 
   if (plan == StarPlan::kAdjacencyIndex ||
       plan == StarPlan::kAdjacencyIndexPushdown) {
-    // Per-predicate sorted postings + stats from the adjacency index.
-    std::vector<rdf::AdjacencyIndex::Span> spans(k);
-    std::vector<const rdf::PredicateStats*> stats(k);
-    for (size_t i = 0; i < k; ++i) {
-      stats[i] = adjacency_.Stats(query.predicate_ids[i]);
-      if (stats[i] == nullptr) return finish({});
-      spans[i] = adjacency_.Subjects(query.predicate_ids[i]);
-    }
-
-    if (plan == StarPlan::kAdjacencyIndexPushdown &&
-        query.has_st_constraint) {
-      // Integer st-cell pre-filter, then one postings probe per slot.
-      for (const auto& [s, cell] : subject_stcell_) {
-        ++local.triples_scanned;  // side-index probe (integer compare)
-        if (!encoder_.MayIntersect(cell, query.st_box)) continue;
-        StarRow row;
-        row.subject = s;
-        row.objects.assign(k, 0);
-        bool complete = true;
-        for (size_t i = 0; i < k && complete; ++i) {
-          ++local.triples_scanned;  // one indexed probe
-          auto [lo, hi] = adjacency_.ObjectsOf(query.predicate_ids[i], s);
-          if (lo == hi) {
-            complete = false;
-          } else {
-            row.objects[i] = lo->value;  // smallest object: (s,o)-sorted
-          }
-        }
-        if (!complete) continue;
-        ++local.candidate_subjects;
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-        rows.push_back(std::move(row));
-      }
-      return finish(std::move(rows));
-    }
-
     // Stats-ordered postings intersection: drive from the predicate with
     // the fewest distinct subjects, then leapfrog the other lists with
     // galloping cursors (monotonic — each list is walked at most once).
+    std::vector<uint64_t> distinct(k);
+    for (size_t i = 0; i < k; ++i) {
+      distinct[i] =
+          adjacency_.Stats(query.predicate_ids[i])->distinct_subjects;
+    }
     std::vector<size_t> ord(k);
     std::iota(ord.begin(), ord.end(), 0);
-    std::sort(ord.begin(), ord.end(), [&](size_t a, size_t b) {
-      return stats[a]->distinct_subjects < stats[b]->distinct_subjects;
-    });
+    std::sort(ord.begin(), ord.end(),
+              [&](size_t a, size_t b) { return distinct[a] < distinct[b]; });
     std::vector<const rdf::Posting*> cur(k);
     for (size_t i = 0; i < k; ++i) cur[i] = spans[i].first;
 
@@ -385,110 +368,52 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
     const rdf::Posting* d_end = spans[driver].second;
     while (d != d_end) {
       const uint64_t s = d->key;
-      const uint64_t driver_obj = d->value;  // smallest object of the run
+      StarRow row{s, std::vector<uint64_t>(k, 0)};
+      row.objects[driver] = d->value;  // smallest object of the run
       // Skip the rest of the equal-subject run.
       do {
         ++local.triples_scanned;
         ++d;
       } while (d != d_end && d->key == s);
 
-      StarRow row;
-      row.subject = s;
-      row.objects.assign(k, 0);
-      row.objects[driver] = driver_obj;
       bool complete = true;
       for (size_t j = 1; j < k && complete; ++j) {
         const size_t slot = ord[j];
         ++local.triples_scanned;  // one galloping probe
         cur[slot] = Gallop(cur[slot], spans[slot].second, s);
-        if (cur[slot] == spans[slot].second || cur[slot]->key != s) {
-          complete = false;
-        } else {
-          row.objects[slot] = cur[slot]->value;
-        }
+        complete = cur[slot] != spans[slot].second && cur[slot]->key == s;
+        if (complete) row.objects[slot] = cur[slot]->value;
       }
-      if (!complete) continue;
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-      }
-      rows.push_back(std::move(row));
+      if (complete) emit(std::move(row));
     }
     return finish(std::move(rows));
   }
 
-  // Gather the per-predicate sorted lists.
-  std::vector<const std::vector<SO>*> lists;
-  for (uint64_t pid : query.predicate_ids) {
-    auto it = vertical_.find(pid);
-    if (it == vertical_.end()) return finish({});
-    lists.push_back(&it->second);
-  }
-
-  auto probe = [&](const std::vector<SO>& list, uint64_t s) -> uint64_t {
-    auto pos =
-        std::lower_bound(list.begin(), list.end(), s,
-                         [](const SO& so, uint64_t key) { return so.s < key; });
-    if (pos == list.end() || pos->s != s) return 0;
-    return pos->o;
-  };
-
-  if (plan == StarPlan::kVerticalPartition) {
-    // Drive from the smallest predicate list.
-    size_t driver = 0;
-    for (size_t i = 1; i < k; ++i) {
-      if (lists[i]->size() < lists[driver]->size()) driver = i;
+  // Vertical partitioning: drive from the predicate with the fewest
+  // postings and probe the others by binary search.
+  size_t driver = 0;
+  for (size_t i = 1; i < k; ++i) {
+    if (spans[i].second - spans[i].first <
+        spans[driver].second - spans[driver].first) {
+      driver = i;
     }
-    local.triples_scanned += lists[driver]->size();
-    uint64_t prev_s = 0;
-    for (const SO& so : *lists[driver]) {
-      if (so.s == prev_s) continue;  // distinct subjects
-      prev_s = so.s;
-      StarRow row;
-      row.subject = so.s;
-      row.objects.assign(k, 0);
-      row.objects[driver] = so.o;
-      bool complete = true;
-      for (size_t i = 0; i < k && complete; ++i) {
-        if (i == driver) continue;
-        local.triples_scanned += 1;  // one indexed probe
-        row.objects[i] = probe(*lists[i], so.s);
-        if (row.objects[i] == 0) complete = false;
-      }
-      if (!complete) continue;
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(so.s, query.st_box)) continue;
-      }
-      rows.push_back(std::move(row));
-    }
-    return finish(std::move(rows));
   }
-
-  // kVerticalPartitionPushdown: integer st-cell pre-filter first.
-  if (!query.has_st_constraint) {
-    // Without a constraint the pushdown degenerates to the vertical plan.
-    return RunStar(query, StarPlan::kVerticalPartition, metrics);
-  }
-  for (const auto& [s, cell] : subject_stcell_) {
-    ++local.triples_scanned;  // side-index probe (integer compare)
-    if (!encoder_.MayIntersect(cell, query.st_box)) continue;
-    StarRow row;
-    row.subject = s;
-    row.objects.assign(k, 0);
+  local.triples_scanned += spans[driver].second - spans[driver].first;
+  uint64_t prev_s = 0;
+  for (const rdf::Posting* so = spans[driver].first;
+       so != spans[driver].second; ++so) {
+    if (so->key == prev_s) continue;  // distinct subjects
+    prev_s = so->key;
+    StarRow row{so->key, std::vector<uint64_t>(k, 0)};
+    row.objects[driver] = so->value;
     bool complete = true;
     for (size_t i = 0; i < k && complete; ++i) {
-      local.triples_scanned += 1;
-      row.objects[i] = probe(*lists[i], s);
-      if (row.objects[i] == 0) complete = false;
+      if (i == driver) continue;
+      ++local.triples_scanned;  // one indexed probe
+      row.objects[i] = FirstObject(spans[i], so->key);
+      complete = row.objects[i] != 0;
     }
-    if (!complete) continue;
-    ++local.candidate_subjects;
-    ++local.st_filter_evaluations;
-    if (!ExactStMatch(s, query.st_box)) continue;
-    rows.push_back(std::move(row));
+    if (complete) emit(std::move(row));
   }
   return finish(std::move(rows));
 }

@@ -17,18 +17,23 @@
 namespace tcmf::store {
 
 /// Physical layout / plan selector for star queries (Section 4.2.5):
-/// the paper's "one-triples-table" vs vertical partitioning, each with or
-/// without the spatio-temporal dictionary-encoding pushdown, plus the
-/// adjacency-indexed layout (per-predicate sorted postings + cardinality
-/// stats, the SNIPPETS.md triplestore shape) that drives the star join
-/// from the predicate with the fewest distinct subjects.
+/// the paper's "one-triples-table", vertical partitioning and property
+/// tables, each with or without the spatio-temporal dictionary-encoding
+/// pushdown. Vertical partitioning and the adjacency-index plans read
+/// one copy of the data — the per-predicate (subject, object)-sorted
+/// postings of rdf::AdjacencyIndex — through two joins: binary-search
+/// probes driven from the predicate with the fewest postings, or
+/// galloping cursors driven from the one with the fewest distinct
+/// subjects. With an st box, both pushdown variants run the same
+/// st-cell pre-filter and per-slot probes; without one, each falls back
+/// to its own join.
 enum class StarPlan {
   kTriplesTableScan = 0,      ///< full scan + hash join + late st-filter
-  kVerticalPartition,         ///< per-predicate merge join + late st-filter
-  kVerticalPartitionPushdown, ///< integer st-cell pre-filter, then join
+  kVerticalPartition,         ///< postings probed by binary search
+  kVerticalPartitionPushdown, ///< integer st-cell pre-filter, then probes
   kPropertyTable,             ///< pre-joined wide rows + late st-filter
   kPropertyTablePushdown,     ///< property table + integer st pre-filter
-  kAdjacencyIndex,            ///< stats-ordered postings intersection
+  kAdjacencyIndex,            ///< stats-ordered galloping intersection
   kAdjacencyIndexPushdown,    ///< st-cell pre-filter + postings probes
 };
 
@@ -79,8 +84,9 @@ struct StoreCounters {
 /// per partition group (the local stand-in for Spark executors).
 ///
 /// Lifecycle contract: ingest (Add/AddPositionNode/LoadTriples), then
-/// Compile(), then query (RunStar). Compile builds the vertical layout
-/// and the adjacency index; adding afterwards requires re-Compile.
+/// Compile(), then query (RunStar). Compile builds the adjacency index,
+/// the one sorted copy of the triples every indexed plan reads; adding
+/// afterwards requires re-Compile.
 ///
 /// Thread-safety: ingestion and Compile are single-writer. After
 /// Compile returns, any number of threads may call RunStar /
@@ -109,9 +115,10 @@ class KnowledgeStore {
   void AddPositionNode(const rdf::Term& subject, double lon, double lat,
                        TimeMs t);
 
-  /// Freezes ingestion: builds the vertical-partitioning layout, the
-  /// adjacency index (per-predicate sorted postings + cardinality
-  /// stats), and sorts runs. Must be called before RunStar.
+  /// Freezes ingestion: builds the adjacency index (per-predicate
+  /// (subject, object)-sorted postings + cardinality stats) that the
+  /// vertical-partitioning, adjacency-index and property-table plans
+  /// read, and drops any property tables. Must be called before RunStar.
   void Compile();
 
   /// Materializes a property table over `predicate_ids` (one wide row per
@@ -136,10 +143,6 @@ class KnowledgeStore {
   size_t partitions() const { return partitions_.size(); }
   const geom::StCellEncoder& encoder() const { return encoder_; }
 
-  /// The adjacency index built by Compile() (empty before). Valid until
-  /// the next Compile().
-  const rdf::AdjacencyIndex& adjacency() const { return adjacency_; }
-
   /// Snapshot of the cumulative counters (thread-safe; see
   /// StoreCounters).
   StoreCounters CountersSnapshot() const;
@@ -150,10 +153,6 @@ class KnowledgeStore {
                       TimeMs* t) const;
 
  private:
-  struct SO {
-    uint64_t s, o;
-  };
-
   bool ExactStMatch(uint64_t subject,
                     const geom::StCellEncoder::StBox& box) const;
 
@@ -168,9 +167,8 @@ class KnowledgeStore {
   uint64_t wkt_pid_ = 0;
   uint64_t ts_pid_ = 0;
 
-  /// Vertical partitioning: predicate -> (s,o) pairs sorted by s.
-  std::unordered_map<uint64_t, std::vector<SO>> vertical_;
-  /// Adjacency index over all partitions (built by Compile).
+  /// Adjacency index over all partitions (built by Compile): the
+  /// per-predicate postings the indexed star plans join over.
   rdf::AdjacencyIndex adjacency_;
   /// Property tables: columns (predicate ids) + rows sorted by subject.
   struct PropertyTable {
