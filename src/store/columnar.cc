@@ -47,8 +47,9 @@ std::string EncodeColumn(const std::vector<uint64_t>& values) {
   AppendVarint(&out, values.size());
   uint64_t prev = 0;
   for (uint64_t v : values) {
-    int64_t delta = static_cast<int64_t>(v) - static_cast<int64_t>(prev);
-    AppendVarint(&out, ZigZag(delta));
+    // Wrapping unsigned difference: the same bits as the signed delta,
+    // without signed overflow on ids far apart.
+    AppendVarint(&out, ZigZag(static_cast<int64_t>(v - prev)));
     prev = v;
   }
   return out;
@@ -60,6 +61,11 @@ Result<std::vector<uint64_t>> DecodeColumn(const std::string& data) {
   if (!ReadVarint(data, &pos, &count)) {
     return Status::ParseError("columnar: truncated count");
   }
+  // Every value takes at least one byte, so a larger count is corrupt
+  // (and must not size the allocation below).
+  if (count > data.size() - pos) {
+    return Status::ParseError("columnar: count exceeds column bytes");
+  }
   std::vector<uint64_t> values;
   values.reserve(count);
   uint64_t prev = 0;
@@ -68,7 +74,7 @@ Result<std::vector<uint64_t>> DecodeColumn(const std::string& data) {
     if (!ReadVarint(data, &pos, &raw)) {
       return Status::ParseError("columnar: truncated value");
     }
-    prev = static_cast<uint64_t>(static_cast<int64_t>(prev) + UnZigZag(raw));
+    prev += static_cast<uint64_t>(UnZigZag(raw));
     values.push_back(prev);
   }
   return values;
@@ -126,7 +132,10 @@ Result<std::vector<rdf::EncodedTriple>> ReadTriplePartition(
       !ReadVarint(data, &pos, &olen)) {
     return Status::ParseError("bad partition header: " + path);
   }
-  if (pos + slen + plen + olen > data.size()) {
+  // Each length is checked against the bytes it may still claim, so a
+  // crafted header cannot wrap the sum past the file size.
+  const size_t left = data.size() - pos;
+  if (slen > left || plen > left - slen || olen > left - slen - plen) {
     return Status::ParseError("truncated partition: " + path);
   }
   auto s = DecodeColumn(data.substr(pos, slen));
