@@ -579,9 +579,11 @@ KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
        .batch = stream::BatchPolicy::Batched(64, 1)});
   auto to_rec = [skewed](const int& x) {
     KeyedRec r;
-    // Hot key 0 takes 80% of the skewed stream; uniform spreads 0..15.
+    // Hot key 0 takes 80% of the skewed stream. The uniform arm spreads
+    // 1024 keys, enough that the hash partitioner evens them out (16
+    // keys over 4 partitions already leave one partition 1.5x the mean).
     r.key = skewed ? (x % 5 != 0 ? 0 : 1 + static_cast<uint64_t>(x) % 15)
-                   : static_cast<uint64_t>(x) % 16;
+                   : static_cast<uint64_t>(x) % 1024;
     r.payload[0] = static_cast<double>(x);
     return r;
   };
@@ -697,7 +699,9 @@ void RunBatchedTransportComparison(bool smoke) {
 
   // ---- linger: staging-latency p99 under a trickle ----
   {
-    const int count = smoke ? 400 : 1500;
+    // >= 2500 x 200us = 0.5 s: the run spans two full 200 ms lingers, so
+    // linger200's p99 is a linger flush, not the end-of-stream flush.
+    const int count = 2500;
     const int gap_us = 200;  // ~5k records/s: batches never fill
     std::printf(
         "\n=== linger: trickling source (1 rec/%dus), %d records, "
