@@ -64,7 +64,9 @@ uint64_t LatencyHistogram::ValueAtQuantileUs(double q) const {
   uint64_t seen = 0;
   for (size_t i = 0; i < kBucketCount; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= target) return BucketMidpointUs(i);
+    // A bucket's midpoint can lie above every value recorded in it; no
+    // quantile may exceed the largest observation.
+    if (seen >= target) return std::min(BucketMidpointUs(i), max_us());
   }
   return max_us();
 }

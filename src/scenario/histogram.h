@@ -37,8 +37,8 @@ class LatencyHistogram {
   void Merge(const LatencyHistogram& other);
 
   /// Value at quantile q in [0, 1] (0.5 = median), microseconds. The
-  /// bucket midpoint is returned, so the result carries the bucketing
-  /// error bound above. 0 when empty.
+  /// bucket midpoint is returned, capped at max_us(), so the result
+  /// carries the bucketing error bound above. 0 when empty.
   uint64_t ValueAtQuantileUs(double q) const;
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }

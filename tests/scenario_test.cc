@@ -148,6 +148,19 @@ TEST(ScenarioHistogramTest, QuantilesWithinLogBucketErrorBound) {
   EXPECT_EQ(hist.max_us(), 100000u);
 }
 
+TEST(ScenarioHistogramTest, QuantilesNeverExceedTheMax) {
+  // 16601us sits in the lower half of the 512us-wide bucket [16384,
+  // 16896), whose midpoint 16640us lies above it.
+  LatencyHistogram hist;
+  for (int i = 0; i < 10; ++i) hist.RecordUs(16000);
+  hist.RecordUs(16601);
+  EXPECT_EQ(hist.max_us(), 16601u);
+  for (const double q : {0.5, 0.99, 0.999, 1.0}) {
+    EXPECT_LE(hist.ValueAtQuantileUs(q), hist.max_us()) << "q=" << q;
+  }
+  EXPECT_EQ(hist.ValueAtQuantileUs(1.0), 16601u);
+}
+
 TEST(ScenarioHistogramTest, MergeMatchesRecordingIntoOne) {
   LatencyHistogram merged, a, b;
   for (int64_t v = 1; v <= 3000; ++v) {
