@@ -672,6 +672,16 @@ int Cursor::ReadFrame(std::string_view* payload, uint64_t* frame_size,
       // exist (roll publishes both under the log mutex); otherwise we
       // are tailing the active segment.
       if (!seg_->sealed.load(std::memory_order_acquire)) return 0;
+      if (next_offset_ != seg_->base_offset + seg_->committed_records.load(
+                                                  std::memory_order_acquire)) {
+        // A sealed segment's record count is implied by its successor's
+        // base offset; ending short (or long) is mid-log damage that
+        // would otherwise show up as a silent offset gap.
+        status_ = Status::IoError("mlog: sealed segment " + seg_->path +
+                                  " ends at offset " +
+                                  std::to_string(next_offset_));
+        return -1;
+      }
       std::shared_ptr<Log::Segment> next =
           log_->SegmentAfter(seg_->base_offset);
       if (next == nullptr) return 0;
@@ -694,8 +704,11 @@ int Cursor::ReadFrame(std::string_view* payload, uint64_t* frame_size,
     }
     uint64_t len = 0;
     const char* q = ParseVarint64(p, p + avail, &len);
-    if (q == nullptr ||
-        byte_pos_ + static_cast<uint64_t>(q - p) + 4 + len > committed) {
+    // Bounds-check without summing: a damaged length near 2^64 would
+    // wrap `header + 4 + len` to a small frame.
+    const uint64_t room = committed - byte_pos_;
+    if (q == nullptr || len > room ||
+        room - len < static_cast<uint64_t>(q - p) + 4) {
       // Committed data never ends mid-entry; this is mid-log damage
       // (bit rot in a sealed segment), surfaced as a sticky error.
       status_ = Status::IoError("mlog: corrupt entry at offset " +

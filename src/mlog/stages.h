@@ -91,9 +91,10 @@ struct LogSourceOptions {
   /// Stage configuration for the replay edge (the same StageOptions every
   /// Flow operator takes). `stage.name` defaults to "mlog.source";
   /// `stage.batch` defaults to FromBatchGenerator's BatchPolicy::Batched()
-  /// — the replay edge is the throughput-bound path. Use
-  /// BatchPolicy::Batched(n) to set another size or BatchPolicy::Single()
-  /// for record-at-a-time transport (docs/STREAM_TUNING.md).
+  /// — the replay edge is the throughput-bound path. Its `max_batch` is
+  /// both the records decoded per cursor call and the records per channel
+  /// transfer; BatchPolicy::Single() replays one record per transfer
+  /// (docs/STREAM_TUNING.md).
   stream::StageOptions stage{};
 };
 
@@ -132,18 +133,6 @@ inline stream::Flow<stream::Record> LogSource(stream::Pipeline* pipeline,
     error->Set(seek.ToString());
     return stream::Flow<stream::Record>::FromVector(pipeline, {},
                                                     std::move(stage));
-  }
-  if (stage.batch.has_value() && !stage.batch->batched()) {
-    // Record-at-a-time replay: preserved for bit-compatible comparisons.
-    return stream::Flow<stream::Record>::FromGenerator(
-        pipeline,
-        [cursor, end]() -> std::optional<stream::Record> {
-          if (cursor->offset() >= end) return std::nullopt;
-          std::optional<ReadRecord> next = cursor->Next();
-          if (!next.has_value()) return std::nullopt;  // caught up or error
-          return std::move(next->record);
-        },
-        std::move(stage));
   }
   auto scratch = std::make_shared<std::vector<ReadRecord>>();
   return stream::Flow<stream::Record>::FromBatchGenerator(

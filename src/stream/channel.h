@@ -17,9 +17,8 @@ namespace tcmf::stream {
 /// per-operator literal so the transport default is a single knob.
 inline constexpr size_t kDefaultCapacity = 1024;
 
-/// Result of a non-blocking poll: distinguishes "nothing right now" from
-/// "this stream is finished" (closed AND drained), which the optional-based
-/// API cannot express.
+/// Result of a timed poll (PopBatchFor): distinguishes "nothing right now"
+/// from "this stream is finished" (closed AND drained).
 enum class PollStatus {
   kItem,    ///< an element was dequeued
   kEmpty,   ///< queue empty but the channel may still produce elements
@@ -28,28 +27,30 @@ enum class PollStatus {
 
 /// Bounded multi-producer/multi-consumer blocking queue with close and
 /// cancel semantics: the stream-transport substrate standing in for Kafka
-/// topics. Push blocks when full (backpressure); Pop blocks until an
-/// element is available or the channel is closed and drained.
+/// topics. PushBatch blocks while the queue is full (backpressure);
+/// PopBatch blocks until an element is available or the channel is
+/// closed and drained; PopBatchFor is the one timed poll.
 ///
-/// Besides the record-at-a-time Push/Pop, the channel supports amortized
-/// batch transfer: PushBatch/PopBatch move many elements under one lock
-/// acquisition (one per capacity chunk on the push side), which is the
-/// dominant throughput lever for the single-pass operator pipelines every
-/// datAcron component compiles down to — the full cost model (what the
-/// lock amortization buys, what batch staging costs, how to pick the
-/// batch size) is docs/STREAM_TUNING.md.
+/// Every Flow operator moves elements with PushBatch/PopBatch: many
+/// elements under one lock acquisition (one per capacity chunk on the
+/// push side), which is the dominant throughput lever for the single-pass
+/// operator pipelines every datAcron component compiles down to — the
+/// full cost model (what the lock amortization buys, what batch staging
+/// costs, how to pick the batch size) is docs/STREAM_TUNING.md. The
+/// single-element Push/Pop remain for direct channel users (the channel
+/// microbench and tests).
 /// Batch transfers use notify_all wakeups: releasing k resources with a
 /// single notify_one would strand up to k-1 waiters (see
 /// ChannelTest.BatchWakeups* regressions).
 ///
 /// Shutdown protocol (see DESIGN.md "runtime semantics"):
 ///  - Producer side: Close() marks end-of-stream; consumers drain the
-///    remaining queue, then Pop returns nullopt.
+///    remaining queue, then PopBatch returns 0.
 ///  - Consumer side: CloseAndDrain() *cancels* the edge — the queue is
-///    discarded, blocked producers unblock with Push() == false, and any
-///    other consumer sees end-of-stream immediately. Every operator that
-///    stops consuming early MUST cancel its input so upstream stages can
-///    exit instead of deadlocking in Push.
+///    discarded, blocked producers unblock with a short PushBatch count,
+///    and any other consumer sees end-of-stream immediately. Every
+///    operator that stops consuming early MUST cancel its input so
+///    upstream stages can exit instead of deadlocking in a push.
 ///
 /// The channel also records StageMetrics: elements in/out, queue-depth
 /// high-watermark, cumulative producer/consumer blocked time, rejected
@@ -86,24 +87,6 @@ class Channel {
     ++push_batches_;
     UpdateHighWatermarkLocked();
     lock.unlock();
-    NotifyConsumers(1);
-    return true;
-  }
-
-  /// Non-blocking push; returns false when full, closed or cancelled.
-  bool TryPush(T value) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) {
-        ++push_rejected_;
-        return false;
-      }
-      if (queue_.size() >= capacity_) return false;
-      queue_.push_back(std::move(value));
-      ++pushed_;
-      ++push_batches_;
-      UpdateHighWatermarkLocked();
-    }
     NotifyConsumers(1);
     return true;
   }
@@ -214,31 +197,6 @@ class Channel {
     return out;
   }
 
-  /// Non-blocking pop. NOTE: nullopt conflates "empty but open" with
-  /// "closed and drained" — polling consumers should use the tri-state
-  /// overload below (or check closed_and_empty()).
-  std::optional<T> TryPop() {
-    T out;
-    if (TryPop(&out) == PollStatus::kItem) return out;
-    return std::nullopt;
-  }
-
-  /// Non-blocking tri-state pop: on kItem, `*out` receives the element.
-  /// kEmpty means "try again later"; kClosed means "never again".
-  PollStatus TryPop(T* out) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (queue_.empty()) return closed_ ? PollStatus::kClosed
-                                         : PollStatus::kEmpty;
-      *out = std::move(queue_.front());
-      queue_.pop_front();
-      ++popped_;
-      ++pop_batches_;
-    }
-    NotifyProducers(1);
-    return PollStatus::kItem;
-  }
-
   /// Marks the channel closed; consumers drain remaining elements then see
   /// nullopt. Idempotent. (Producer-side end-of-stream.)
   void Close() {
@@ -267,7 +225,7 @@ class Channel {
   }
 
   /// True once Close() or CloseAndDrain() has been called. Elements may
-  /// still be queued (use closed_and_empty() for the termination test).
+  /// still be queued.
   bool closed() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return closed_;
@@ -279,13 +237,6 @@ class Channel {
   bool cancelled() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return cancelled_;
-  }
-
-  /// True once no element will ever be produced again: closed (or
-  /// cancelled) and fully drained. The polling-consumer termination test.
-  bool closed_and_empty() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_ && queue_.empty();
   }
 
   /// Current queue depth (instantaneous; racy by nature — use the

@@ -43,41 +43,52 @@ struct StageOptions {
   std::string name;
   size_t capacity = kDefaultCapacity;
   std::optional<BatchPolicy> batch;
+
+  /// The stage's policy: `batch`, else `inherited`. A `max_batch` of 0
+  /// is promoted to 1 (a zero-element pop would read as end-of-stream).
+  BatchPolicy BatchOr(const BatchPolicy& inherited) const {
+    BatchPolicy policy = batch.value_or(inherited);
+    policy.max_batch = std::max<size_t>(1, policy.max_batch);
+    return policy;
+  }
 };
 
 /// Buffers operator outputs and flushes them downstream according to a
-/// BatchPolicy. In record-at-a-time mode it degenerates to Channel::Push.
-/// Emit/Flush return false when the downstream edge rejected the transfer
-/// (consumer cancelled) — the signal to propagate cancellation upstream.
+/// BatchPolicy: a batch leaves when it holds `max_batch` elements, when
+/// its oldest element has waited `max_linger_ms`, or at end of stream.
+/// With `max_batch` 1 every Emit is a one-element PushBatch and the clock
+/// is never read. Emit/Flush return false when the downstream edge
+/// rejected the transfer (consumer cancelled) — the signal to propagate
+/// cancellation upstream.
 template <typename Out>
 class BatchEmitter {
  public:
   BatchEmitter(std::shared_ptr<Channel<Out>> out, BatchPolicy policy)
       : out_(std::move(out)), policy_(policy) {
-    if (policy_.batched()) buf_.reserve(policy_.max_batch);
+    buf_.reserve(policy_.max_batch);
   }
 
   bool Emit(Out value) {
-    if (!policy_.batched()) return out_->Push(std::move(value));
-    if (buf_.empty()) first_buffered_ = std::chrono::steady_clock::now();
     buf_.push_back(std::move(value));
     if (buf_.size() >= policy_.max_batch) return Flush();
+    // A partial batch starts: start its linger clock.
+    if (buf_.size() == 1) first_buffered_ = std::chrono::steady_clock::now();
     return true;
   }
 
   bool Flush() {
     if (buf_.empty()) return true;
     const size_t n = buf_.size();
-    const bool ok = out_->PushBatch(std::move(buf_)) == n;
-    buf_.clear();
-    buf_.reserve(policy_.max_batch);
-    return ok;
+    return out_->PushBatch(std::move(buf_)) == n;  // leaves buf_ empty
   }
 
   bool has_pending() const { return !buf_.empty(); }
 
+  size_t max_batch() const { return policy_.max_batch; }
+
+  Channel<Out>& channel() const { return *out_; }
+
   /// Time until the oldest buffered element exceeds the linger bound.
-  /// Callers only ask when the policy's LingerEnabled().
   std::chrono::milliseconds LingerRemaining() const {
     const auto linger = std::chrono::milliseconds(policy_.max_linger_ms);
     if (buf_.empty()) return linger;
@@ -98,7 +109,7 @@ class BatchEmitter {
 namespace internal {
 
 /// The shared consume/transform/emit loop behind every 1-input operator.
-/// Drains `in` (record-at-a-time or in batches per `policy`), feeds each
+/// Drains `in` in batches of up to the emitter's `max_batch`, feeds each
 /// element to `per_element(item, emitter) -> bool` (false = downstream
 /// rejected, i.e. the consumer cancelled), and on end-of-stream runs
 /// `at_exit(open, emitter)` — stateful operators flush per-key state
@@ -107,46 +118,33 @@ namespace internal {
 /// Closing the *output* channel is the caller's responsibility (shared
 /// outputs — KeyedProcessParallel — are closed by the last worker).
 ///
-/// In batched mode the loop uses the timed PopBatchFor while outputs are
-/// staged so a partially-filled batch is flushed after `max_linger_ms`
-/// even when the input goes quiet (linger < 0 disables the timer).
+/// While outputs are staged the loop waits with the timed PopBatchFor,
+/// so a partially-filled batch is flushed after `max_linger_ms` even
+/// when the input goes quiet.
 template <typename In, typename Out, typename PerElement, typename AtExit>
 void RunStage(const std::shared_ptr<Channel<In>>& in,
-              BatchEmitter<Out>& emitter, BatchPolicy policy,
-              PerElement&& per_element, AtExit&& at_exit) {
+              BatchEmitter<Out>& emitter, PerElement&& per_element,
+              AtExit&& at_exit) {
+  const size_t max_batch = emitter.max_batch();
+  std::vector<In> batch;
+  batch.reserve(max_batch);
   bool open = true;
-  if (!policy.batched()) {
-    while (auto item = in->Pop()) {
-      if (!per_element(*item, emitter)) {
-        open = false;
-        break;
+  while (open) {
+    batch.clear();
+    if (emitter.has_pending()) {
+      const PollStatus status =
+          in->PopBatchFor(&batch, max_batch, emitter.LingerRemaining());
+      if (status == PollStatus::kClosed) break;
+      if (status == PollStatus::kEmpty) {
+        // Linger expired with staged outputs: flush the partial batch.
+        open = emitter.Flush();
+        continue;
       }
+    } else if (in->PopBatch(&batch, max_batch) == 0) {
+      break;
     }
-  } else {
-    std::vector<In> batch;
-    batch.reserve(policy.max_batch);
-    while (open) {
-      batch.clear();
-      size_t n = 0;
-      if (emitter.has_pending() && policy.LingerEnabled()) {
-        const PollStatus status = in->PopBatchFor(
-            &batch, policy.max_batch, emitter.LingerRemaining(), &n);
-        if (status == PollStatus::kEmpty) {
-          // Linger expired with staged outputs: flush the partial batch.
-          if (!emitter.Flush()) open = false;
-          continue;
-        }
-        if (status == PollStatus::kClosed) break;
-      } else {
-        n = in->PopBatch(&batch, policy.max_batch);
-        if (n == 0) break;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (!per_element(batch[i], emitter)) {
-          open = false;
-          break;
-        }
-      }
+    for (size_t i = 0; i < batch.size() && open; ++i) {
+      open = per_element(batch[i], emitter);
     }
   }
   if (!open) in->CloseAndDrain();  // propagate cancellation upstream
@@ -308,20 +306,203 @@ class FusedChain;
 
 namespace internal {
 
-/// Shared construction behind Flow::KeyedProcessParallel and
-/// FusedChain::KeyedProcessParallel (declared here, defined after Flow):
-/// a partition router plus `parallelism` keyed workers over per-worker
-/// partition edges, with the optional fused stateless `prefix` executed
-/// inside the router thread (nullptr = identity, the plain un-fused
-/// path).
+/// The fused stateless chain in front of a keyed stage: turns one
+/// upstream `In` into zero or more `T`s handed to its sink. nullptr is
+/// the identity (In == T, the plain un-fused keyed stage).
+template <typename In, typename T>
+using Prefix = std::function<void(In&&, const std::function<void(T&&)>&)>;
+
+template <typename In, typename T>
+void ApplyPrefix(const Prefix<In, T>& prefix, In& item,
+                 const std::function<void(T&&)>& sink) {
+  if constexpr (std::is_same_v<In, T>) {
+    if (!prefix) return sink(std::move(item));
+  }
+  prefix(std::move(item), sink);
+}
+
+/// The keyed state machine behind every keyed stage: each upstream
+/// element runs through `prefix`, each resulting `T` through `process`
+/// with its key's State (default-constructed on first sight), and at end
+/// of stream `flush` (optional) runs for every key. One instance per
+/// stage thread; it owns that thread's key range.
+template <typename In, typename T, typename Out, typename State>
+class KeyedMachine {
+ public:
+  KeyedMachine(Prefix<In, T> prefix, std::function<uint64_t(const T&)> key_fn,
+               KeyedProcessFn<T, Out, State> process,
+               KeyedFlushFn<Out, State> flush)
+      : prefix_(std::move(prefix)),
+        key_fn_(std::move(key_fn)),
+        process_(std::move(process)),
+        flush_(std::move(flush)) {}
+
+  KeyedMachine(const KeyedMachine&) = delete;
+  KeyedMachine& operator=(const KeyedMachine&) = delete;
+
+  /// RunStage's per-element step: false once downstream rejected an emit.
+  bool Process(In& item, BatchEmitter<Out>& em) {
+    em_ = &em;
+    ok_ = true;
+    ApplyPrefix(prefix_, item, keyed_);
+    return ok_;
+  }
+
+  /// RunStage's at-exit step: flushes every key unless cancelled.
+  void Finish(bool open, BatchEmitter<Out>& em) {
+    if (!open || !flush_) return;
+    em_ = &em;
+    ok_ = true;
+    for (auto& [key, state] : states_) flush_(key, state, emit_);
+  }
+
+ private:
+  Prefix<In, T> prefix_;
+  std::function<uint64_t(const T&)> key_fn_;
+  KeyedProcessFn<T, Out, State> process_;
+  KeyedFlushFn<Out, State> flush_;
+  std::unordered_map<uint64_t, State> states_;
+  BatchEmitter<Out>* em_ = nullptr;
+  bool ok_ = true;
+  // Built once per stage, not per element. After the first rejected
+  // emit, later emits and later prefix outputs are dropped.
+  const std::function<void(Out)> emit_ = [this](Out o) {
+    if (ok_ && !em_->Emit(std::move(o))) ok_ = false;
+  };
+  const std::function<void(T&&)> keyed_ = [this](T&& t) {
+    if (ok_) process_(t, states_[key_fn_(t)], emit_);
+  };
+};
+
+struct NoAtExit {
+  template <typename Emitter>
+  void operator()(bool, Emitter&) const {}
+};
+
+/// The one body behind every 1-input, 1-output stage: creates the output
+/// channel, registers it as stage `opts.name` (auto-named after `op`),
+/// and starts a thread that runs RunStage with `per_element` and
+/// `at_exit`, then closes the output on every exit path. The stage's
+/// policy is `opts.batch`, else `inherited`.
+template <typename In, typename Out, typename PerElement,
+          typename AtExit = NoAtExit>
+Flow<Out> SpawnStage(Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
+                     const BatchPolicy& inherited, StageOptions opts,
+                     const char* op, PerElement per_element,
+                     AtExit at_exit = {}) {
+  const BatchPolicy policy = opts.BatchOr(inherited);
+  auto out = std::make_shared<Channel<Out>>(opts.capacity);
+  pipeline->RegisterChannelStage(op, std::move(opts.name), out);
+  pipeline->AddThread([in = std::move(in), out, policy,
+                       per_element = std::move(per_element),
+                       at_exit = std::move(at_exit)] {
+    BatchEmitter<Out> emitter(out, policy);
+    RunStage(in, emitter, per_element, at_exit);
+    out->Close();
+  });
+  return Flow<Out>(pipeline, std::move(out), policy);
+}
+
+/// Shared construction behind Flow::KeyedProcess, Flow::KeyedProcessParallel
+/// and FusedChain::KeyedProcessParallel. With `parallelism <= 1` the
+/// prefix and the keyed state machine share one stage thread. Otherwise a
+/// partition router runs the prefix inline and hash-partitions the
+/// resulting `T` elements straight into per-worker partition edges —
+/// zero channels between the upstream edge and the keyed boundary — and
+/// `parallelism` workers each run a KeyedMachine over their edge.
 template <typename In, typename T, typename Out, typename State>
 Flow<Out> KeyedParallelStage(
     Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
-    const BatchPolicy& inherited,
-    std::function<void(In&&, const std::function<void(T&&)>&)> prefix,
+    const BatchPolicy& inherited, Prefix<In, T> prefix,
     std::function<uint64_t(const T&)> key_fn,
     KeyedProcessFn<T, Out, State> process, size_t parallelism,
-    KeyedFlushFn<Out, State> flush, StageOptions opts, const char* op);
+    KeyedFlushFn<Out, State> flush, StageOptions opts, const char* op) {
+  if (parallelism <= 1) {
+    auto machine = std::make_shared<KeyedMachine<In, T, Out, State>>(
+        std::move(prefix), std::move(key_fn), std::move(process),
+        std::move(flush));
+    return SpawnStage<In, Out>(
+        pipeline, std::move(in), inherited, std::move(opts), op,
+        [machine](In& item, BatchEmitter<Out>& em) {
+          return machine->Process(item, em);
+        },
+        [machine](bool open, BatchEmitter<Out>& em) {
+          machine->Finish(open, em);
+        });
+  }
+
+  const BatchPolicy policy = opts.BatchOr(inherited);
+  auto out = std::make_shared<Channel<Out>>(opts.capacity);
+  const std::string stage = pipeline->ResolveStageName(op, std::move(opts.name));
+  auto partitions =
+      std::make_shared<std::vector<std::shared_ptr<Channel<T>>>>();
+  for (size_t w = 0; w < parallelism; ++w) {
+    partitions->push_back(std::make_shared<Channel<T>>(opts.capacity));
+  }
+  // One report row for the whole stage: the shared output edge plus the
+  // per-partition edges nested as worker_edges.
+  pipeline->RegisterStage(stage, [out, partitions, stage] {
+    StageMetrics m = out->MetricsSnapshot();
+    m.worker_edges.reserve(partitions->size());
+    for (size_t w = 0; w < partitions->size(); ++w) {
+      StageMetrics e = (*partitions)[w]->MetricsSnapshot();
+      e.stage = stage + ".part" + std::to_string(w);
+      m.worker_edges.push_back(std::move(e));
+    }
+    m.skew_ratio = WorkerEdgeSkewRatio(m.worker_edges);
+    return m;
+  });
+
+  // Router: scatters each input batch into per-worker batches so the
+  // partition edges also move amortized transfers. Routes through the
+  // Mix64 finalizer, not std::hash: libstdc++'s identity hash would fold
+  // structured keys (vessel IDs stepping by a multiple of `parallelism`)
+  // onto a single worker.
+  pipeline->AddThread([in, partitions, parallelism,
+                       max_batch = policy.max_batch, key_fn,
+                       prefix = std::move(prefix)] {
+    std::vector<In> batch;
+    batch.reserve(max_batch);
+    std::vector<std::vector<T>> scatter(parallelism);
+    const std::function<void(T&&)> route = [&](T&& t) {
+      scatter[HashPartition(key_fn(t), parallelism)].push_back(std::move(t));
+    };
+    bool open = true;
+    while (open && in->PopBatch(&batch, max_batch) > 0) {
+      for (In& item : batch) ApplyPrefix(prefix, item, route);
+      batch.clear();
+      for (size_t w = 0; w < parallelism && open; ++w) {
+        if (scatter[w].empty()) continue;
+        // A short accept means the worker cancelled its partition
+        // (downstream gone): stop routing and cancel our own input.
+        const size_t offered = scatter[w].size();
+        open = (*partitions)[w]->PushBatch(std::move(scatter[w])) == offered;
+      }
+    }
+    if (!open) in->CloseAndDrain();
+    for (auto& p : *partitions) p->Close();
+  });
+
+  // Workers share the output channel; the last one to finish closes it.
+  auto live_workers = std::make_shared<std::atomic<size_t>>(parallelism);
+  for (size_t w = 0; w < parallelism; ++w) {
+    pipeline->AddThread([my_in = (*partitions)[w], out, policy, key_fn,
+                         process, flush, live_workers] {
+      KeyedMachine<T, T, Out, State> machine(nullptr, key_fn, process, flush);
+      BatchEmitter<Out> emitter(out, policy);
+      RunStage(
+          my_in, emitter,
+          [&machine](T& item, BatchEmitter<Out>& em) {
+            return machine.Process(item, em);
+          },
+          [&machine](bool open, BatchEmitter<Out>& em) {
+            machine.Finish(open, em);
+          });
+      if (live_workers->fetch_sub(1) == 1) out->Close();
+    });
+  }
+  return Flow<Out>(pipeline, std::move(out), policy);
+}
 
 }  // namespace internal
 
@@ -334,7 +515,7 @@ Flow<Out> KeyedParallelStage(
 /// the whole graph).
 ///
 /// Shutdown contract for every operator: when the downstream edge stops
-/// accepting (Push returns false because the consumer cancelled), the
+/// accepting (a push is rejected because the consumer cancelled), the
 /// operator cancels its own input via CloseAndDrain() and exits — the
 /// cancel signal propagates all the way to the source. Conversely each
 /// operator Close()s its output on every exit path, so downstream stages
@@ -358,23 +539,21 @@ class Flow {
   const BatchPolicy& batch_policy() const { return policy_; }
 
   /// Source from a pull function; the function returns nullopt when the
-  /// stream is exhausted. With a batched policy the generator stages up
-  /// to `max_batch` elements (bounded by the linger) per transfer.
-  /// Default policy when `opts.batch` is unset: record-at-a-time (Single).
+  /// stream is exhausted. The generator stages up to `max_batch` elements
+  /// (bounded by the linger) per transfer. Default policy when
+  /// `opts.batch` is unset: one element per transfer (Single).
   static Flow<T> FromGenerator(Pipeline* pipeline,
                                std::function<std::optional<T>()> next,
                                StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(BatchPolicy{});
+    const BatchPolicy policy = opts.BatchOr(BatchPolicy{});
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
     pipeline->RegisterChannelStage("source", std::move(opts.name), channel);
-    pipeline->AddThread([channel, policy, next = std::move(next)]() mutable {
+    pipeline->AddThread([channel, policy, next = std::move(next)] {
       BatchEmitter<T> emitter(channel, policy);
-      while (true) {
-        std::optional<T> item = next();
-        if (!item.has_value()) break;
+      while (std::optional<T> item = next()) {
         // Emit fails only when downstream cancelled: stop generating.
         if (!emitter.Emit(std::move(*item))) break;
-        if (emitter.has_pending() && policy.LingerEnabled() &&
+        if (emitter.has_pending() &&
             emitter.LingerRemaining() <= std::chrono::milliseconds(0)) {
           if (!emitter.Flush()) break;
         }
@@ -398,11 +577,11 @@ class Flow {
       Pipeline* pipeline,
       std::function<size_t(std::vector<T>*, size_t)> next_batch,
       StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(BatchPolicy::Batched());
+    const BatchPolicy policy = opts.BatchOr(BatchPolicy::Batched());
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
     pipeline->RegisterChannelStage("source", std::move(opts.name), channel);
     pipeline->AddThread(
-        [channel, want = std::max<size_t>(1, policy.max_batch),
+        [channel, want = policy.max_batch,
          next_batch = std::move(next_batch)] {
           std::vector<T> buf;
           buf.reserve(want);
@@ -437,65 +616,34 @@ class Flow {
   /// 1:1 transform.
   template <typename Out>
   Flow<Out> Map(std::function<Out(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    pipeline_->RegisterChannelStage("map", std::move(opts.name), out);
-    auto in = channel_;
-    pipeline_->AddThread([in, out, policy, fn = std::move(fn)] {
-      BatchEmitter<Out> emitter(out, policy);
-      internal::RunStage(
-          in, emitter, policy,
-          [&fn](T& item, BatchEmitter<Out>& em) { return em.Emit(fn(item)); },
-          [](bool, BatchEmitter<Out>&) {});
-      out->Close();
-    });
-    return Flow<Out>(pipeline_, std::move(out), policy);
+    return internal::SpawnStage<T, Out>(
+        pipeline_, channel_, policy_, std::move(opts), "map",
+        [fn = std::move(fn)](T& item, BatchEmitter<Out>& em) {
+          return em.Emit(fn(item));
+        });
   }
 
   /// 1:N transform.
   template <typename Out>
   Flow<Out> FlatMap(std::function<std::vector<Out>(const T&)> fn,
                     StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    pipeline_->RegisterChannelStage("flatmap", std::move(opts.name), out);
-    auto in = channel_;
-    pipeline_->AddThread([in, out, policy, fn = std::move(fn)] {
-      BatchEmitter<Out> emitter(out, policy);
-      internal::RunStage(
-          in, emitter, policy,
-          [&fn](T& item, BatchEmitter<Out>& em) {
-            for (Out& o : fn(item)) {
-              if (!em.Emit(std::move(o))) return false;
-            }
-            return true;
-          },
-          [](bool, BatchEmitter<Out>&) {});
-      // Close on EVERY exit path — an early return here used to leave
-      // downstream Pop blocked forever.
-      out->Close();
-    });
-    return Flow<Out>(pipeline_, std::move(out), policy);
+    return internal::SpawnStage<T, Out>(
+        pipeline_, channel_, policy_, std::move(opts), "flatmap",
+        [fn = std::move(fn)](T& item, BatchEmitter<Out>& em) {
+          for (Out& o : fn(item)) {
+            if (!em.Emit(std::move(o))) return false;
+          }
+          return true;
+        });
   }
 
   /// Keeps elements satisfying the predicate.
   Flow<T> Filter(std::function<bool(const T&)> pred, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto out = std::make_shared<Channel<T>>(opts.capacity);
-    pipeline_->RegisterChannelStage("filter", std::move(opts.name), out);
-    auto in = channel_;
-    pipeline_->AddThread([in, out, policy, pred = std::move(pred)] {
-      BatchEmitter<T> emitter(out, policy);
-      internal::RunStage(
-          in, emitter, policy,
-          [&pred](T& item, BatchEmitter<T>& em) {
-            if (!pred(item)) return true;
-            return em.Emit(std::move(item));
-          },
-          [](bool, BatchEmitter<T>&) {});
-      out->Close();
-    });
-    return Flow<T>(pipeline_, std::move(out), policy);
+    return internal::SpawnStage<T, T>(
+        pipeline_, channel_, policy_, std::move(opts), "filter",
+        [pred = std::move(pred)](T& item, BatchEmitter<T>& em) {
+          return !pred(item) || em.Emit(std::move(item));
+        });
   }
 
   /// Starts a fused chain: adjacent stateless stages (Map/Filter/FlatMap)
@@ -516,37 +664,9 @@ class Flow {
                          KeyedProcessFn<T, Out, State> process,
                          KeyedFlushFn<Out, State> flush = nullptr,
                          StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    pipeline_->RegisterChannelStage("keyed", std::move(opts.name), out);
-    auto in = channel_;
-    pipeline_->AddThread([in, out, policy,
-                          key_fn = std::move(key_fn),
-                          process = std::move(process),
-                          flush = std::move(flush)] {
-      BatchEmitter<Out> emitter(out, policy);
-      std::unordered_map<uint64_t, State> states;
-      internal::RunStage(
-          in, emitter, policy,
-          [&](T& item, BatchEmitter<Out>& em) {
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            process(item, states[key_fn(item)], emit);
-            return ok;
-          },
-          [&](bool open, BatchEmitter<Out>& em) {
-            if (!open || !flush) return;
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            for (auto& [key, state] : states) flush(key, state, emit);
-          });
-      out->Close();
-    });
-    return Flow<Out>(pipeline_, std::move(out), policy);
+    return KeyedProcessParallel<Out, State>(std::move(key_fn),
+                                            std::move(process), 1,
+                                            std::move(flush), std::move(opts));
   }
 
   /// Keyed stateful processing with `parallelism` worker threads: elements
@@ -556,21 +676,17 @@ class Flow {
   ///
   /// Each router→worker partition edge is its own channel; its counters
   /// surface as `worker_edges` (plus `skew_ratio`) on this stage's row in
-  /// Report()/ReportJson().
+  /// Report()/ReportJson(). With `parallelism <= 1` this is KeyedProcess.
   template <typename Out, typename State>
   Flow<Out> KeyedProcessParallel(std::function<uint64_t(const T&)> key_fn,
                                  KeyedProcessFn<T, Out, State> process,
                                  size_t parallelism,
                                  KeyedFlushFn<Out, State> flush = nullptr,
                                  StageOptions opts = {}) {
-    if (parallelism <= 1) {
-      return KeyedProcess<Out, State>(std::move(key_fn), std::move(process),
-                                      std::move(flush), std::move(opts));
-    }
     return internal::KeyedParallelStage<T, T, Out, State>(
-        pipeline_, channel_, policy_, /*prefix=*/nullptr,
-        std::move(key_fn), std::move(process), parallelism, std::move(flush),
-        std::move(opts), "keyed_par");
+        pipeline_, channel_, policy_, /*prefix=*/nullptr, std::move(key_fn),
+        std::move(process), parallelism, std::move(flush), std::move(opts),
+        parallelism <= 1 ? "keyed" : "keyed_par");
   }
 
   /// Keyed event-time tumbling windows with bounded lateness: elements are
@@ -588,105 +704,70 @@ class Flow {
                       StageOptions opts = {}) {
     using Result =
         std::pair<uint64_t, typename TumblingWindower<T, Acc>::WindowResult>;
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto out = std::make_shared<Channel<Result>>(opts.capacity);
-    pipeline_->RegisterChannelStage("window", std::move(opts.name), out);
-    auto in = channel_;
-    pipeline_->AddThread([in, out, policy,
-                          key_fn = std::move(key_fn),
-                          time_fn = std::move(time_fn), window_ms,
-                          allowed_lateness_ms, add = std::move(add)] {
-      BatchEmitter<Result> emitter(out, policy);
-      std::unordered_map<uint64_t, TumblingWindower<T, Acc>> windowers;
-      internal::RunStage(
-          in, emitter, policy,
-          [&](T& item, BatchEmitter<Result>& em) {
-            const uint64_t key = key_fn(item);
-            auto [it, inserted] = windowers.try_emplace(
-                key, window_ms, allowed_lateness_ms, add);
-            for (auto& wr : it->second.Add(item, time_fn(item))) {
-              if (!em.Emit({key, std::move(wr)})) return false;
-            }
-            return true;
-          },
-          [&](bool open, BatchEmitter<Result>& em) {
-            uint64_t late = 0;
-            bool ok = open;
-            for (auto& [key, w] : windowers) {
-              if (ok) {
-                for (auto& wr : w.Close()) {
-                  if (!em.Emit({key, std::move(wr)})) {
-                    ok = false;
-                    break;
-                  }
+    auto windowers = std::make_shared<
+        std::unordered_map<uint64_t, TumblingWindower<T, Acc>>>();
+    return internal::SpawnStage<T, Result>(
+        pipeline_, channel_, policy_, std::move(opts), "window",
+        [windowers, key_fn = std::move(key_fn), time_fn = std::move(time_fn),
+         window_ms, allowed_lateness_ms,
+         add = std::move(add)](T& item, BatchEmitter<Result>& em) {
+          const uint64_t key = key_fn(item);
+          auto it = windowers->try_emplace(key, window_ms, allowed_lateness_ms,
+                                           add).first;
+          for (auto& wr : it->second.Add(item, time_fn(item))) {
+            if (!em.Emit({key, std::move(wr)})) return false;
+          }
+          return true;
+        },
+        [windowers](bool open, BatchEmitter<Result>& em) {
+          uint64_t late = 0;
+          for (auto& [key, w] : *windowers) {
+            if (open) {
+              for (auto& wr : w.Close()) {
+                if (!em.Emit({key, std::move(wr)})) {
+                  open = false;
+                  break;
                 }
               }
-              late += w.late_dropped();
             }
-            out->RecordLateDropped(late);
-          });
-      out->Close();
-    });
-    return Flow<Result>(pipeline_, std::move(out), policy);
+            late += w.late_dropped();
+          }
+          em.channel().RecordLateDropped(late);
+        });
   }
 
-  /// Terminal: applies `fn` to every element. Runs until end-of-stream;
-  /// under batching it pops amortized transfers and applies `fn`
-  /// element-at-a-time. A sink owns
-  /// no output channel, so only `opts.batch` (pop-policy override) is
-  /// meaningful here; the other StageOptions fields are ignored.
+  /// Terminal: applies `fn` to every element until end-of-stream, popping
+  /// up to `max_batch` elements per transfer. A sink owns no output
+  /// channel, so only `opts.batch` (pop-policy override) is meaningful
+  /// here; the other StageOptions fields are ignored.
   void Sink(std::function<void(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto in = channel_;
-    pipeline_->AddThread([in, policy, fn = std::move(fn)] {
-      if (!policy.batched()) {
-        while (auto item = in->Pop()) fn(*item);
-        return;
-      }
-      std::vector<T> batch;
-      batch.reserve(policy.max_batch);
-      while (true) {
-        batch.clear();
-        const size_t n = in->PopBatch(&batch, policy.max_batch);
-        if (n == 0) break;
-        for (size_t i = 0; i < n; ++i) fn(batch[i]);
-      }
-    });
+    SinkWhile(
+        [fn = std::move(fn)](const T& item) {
+          fn(item);
+          return true;
+        },
+        std::move(opts));
   }
 
   /// Terminal: applies `fn` until it returns false, then cancels the
   /// stream — upstream stages unblock and exit (no deadlock even with
-  /// producers mid-Push). The early-stopping sink. Under batching,
-  /// elements already popped in the cancelling batch are dropped — the
-  /// same fate queued elements meet under CloseAndDrain.
+  /// producers mid-push). The early-stopping sink. Elements already
+  /// popped in the cancelling batch are dropped — the same fate queued
+  /// elements meet under CloseAndDrain.
   void SinkWhile(std::function<bool(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.batch.value_or(policy_);
-    auto in = channel_;
-    pipeline_->AddThread([in, policy, fn = std::move(fn)] {
-      if (!policy.batched()) {
-        while (auto item = in->Pop()) {
-          if (!fn(*item)) {
-            in->CloseAndDrain();
-            break;
-          }
-        }
-        return;
-      }
+    const size_t max_batch = opts.BatchOr(policy_).max_batch;
+    pipeline_->AddThread([in = channel_, max_batch, fn = std::move(fn)] {
       std::vector<T> batch;
-      batch.reserve(policy.max_batch);
-      bool open = true;
-      while (open) {
-        batch.clear();
-        const size_t n = in->PopBatch(&batch, policy.max_batch);
-        if (n == 0) break;
-        for (size_t i = 0; i < n; ++i) {
-          if (!fn(batch[i])) {
-            open = false;
-            break;
+      batch.reserve(max_batch);
+      while (in->PopBatch(&batch, max_batch) > 0) {
+        for (const T& item : batch) {
+          if (!fn(item)) {
+            in->CloseAndDrain();
+            return;
           }
         }
+        batch.clear();
       }
-      if (!open) in->CloseAndDrain();
     });
   }
 
@@ -708,189 +789,6 @@ class Flow {
   std::shared_ptr<Channel<T>> channel_;
   BatchPolicy policy_;
 };
-
-namespace internal {
-
-/// Shared keyed-parallel construction (see the declaration above Flow).
-/// `prefix` is the fused stateless chain executed INSIDE the router
-/// thread (nullptr = identity, the plain un-fused path): the router pops
-/// `In` elements from the upstream edge, runs the prefix inline, and
-/// hash-partitions the resulting `T` elements straight into the
-/// per-worker partition edges — zero channels between the upstream edge
-/// and the keyed boundary.
-template <typename In, typename T, typename Out, typename State>
-Flow<Out> KeyedParallelStage(
-    Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
-    const BatchPolicy& inherited,
-    std::function<void(In&&, const std::function<void(T&&)>&)> prefix,
-    std::function<uint64_t(const T&)> key_fn,
-    KeyedProcessFn<T, Out, State> process, size_t parallelism,
-    KeyedFlushFn<Out, State> flush, StageOptions opts, const char* op) {
-  const BatchPolicy policy = opts.batch.value_or(inherited);
-  auto out = std::make_shared<Channel<Out>>(opts.capacity);
-  const std::string stage = pipeline->ResolveStageName(op, std::move(opts.name));
-
-  if (parallelism <= 1) {
-    // One worker: the prefix and the keyed state machine share a single
-    // stage thread — no router, no partition edges.
-    pipeline->RegisterChannelStage(op, stage, out);
-    pipeline->AddThread([in, out, policy, prefix = std::move(prefix),
-                         key_fn = std::move(key_fn),
-                         process = std::move(process),
-                         flush = std::move(flush)] {
-      BatchEmitter<Out> emitter(out, policy);
-      std::unordered_map<uint64_t, State> states;
-      RunStage(
-          in, emitter, policy,
-          [&](In& item, BatchEmitter<Out>& em) {
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            auto keyed = [&](T&& t) { process(t, states[key_fn(t)], emit); };
-            if constexpr (std::is_same_v<In, T>) {
-              if (!prefix) {
-                keyed(std::move(item));
-                return ok;
-              }
-            }
-            prefix(std::move(item), keyed);
-            return ok;
-          },
-          [&](bool open, BatchEmitter<Out>& em) {
-            if (!open || !flush) return;
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            for (auto& [key, state] : states) flush(key, state, emit);
-          });
-      out->Close();
-    });
-    return Flow<Out>(pipeline, std::move(out), policy);
-  }
-
-  // Partition router: one input channel per worker.
-  auto partitions =
-      std::make_shared<std::vector<std::shared_ptr<Channel<T>>>>();
-  for (size_t w = 0; w < parallelism; ++w) {
-    partitions->push_back(std::make_shared<Channel<T>>(opts.capacity));
-  }
-  // One report row for the whole stage: the shared output edge plus the
-  // per-partition edges nested as worker_edges.
-  pipeline->RegisterStage(stage, [out, partitions, stage] {
-    StageMetrics m = out->MetricsSnapshot();
-    m.worker_edges.reserve(partitions->size());
-    for (size_t w = 0; w < partitions->size(); ++w) {
-      StageMetrics e = (*partitions)[w]->MetricsSnapshot();
-      e.stage = stage + ".part" + std::to_string(w);
-      m.worker_edges.push_back(std::move(e));
-    }
-    m.skew_ratio = WorkerEdgeSkewRatio(m.worker_edges);
-    return m;
-  });
-
-  pipeline->AddThread([in, partitions, parallelism, policy, key_fn,
-                       prefix = std::move(prefix)] {
-    // Route through the Mix64 finalizer, not std::hash: libstdc++'s
-    // identity hash would fold structured keys (vessel IDs stepping by
-    // a multiple of `parallelism`) onto a single worker.
-    if (!policy.batched()) {
-      bool open = true;
-      auto route = [&](T&& t) {
-        if (!open) return;
-        const size_t w = HashPartition(key_fn(t), parallelism);
-        if (!(*partitions)[w]->Push(std::move(t))) {
-          // A worker cancelled its partition (downstream gone): stop
-          // routing and propagate the cancel to our own input.
-          open = false;
-        }
-      };
-      while (open) {
-        std::optional<In> item = in->Pop();
-        if (!item.has_value()) break;
-        if constexpr (std::is_same_v<In, T>) {
-          if (!prefix) {
-            route(std::move(*item));
-            continue;
-          }
-        }
-        prefix(std::move(*item), route);
-      }
-      if (!open) in->CloseAndDrain();
-    } else {
-      // Scatter each input batch into per-worker batches so partition
-      // edges also move amortized transfers; the fused prefix runs here,
-      // between the pop and the scatter.
-      std::vector<In> batch;
-      std::vector<std::vector<T>> scatter(parallelism);
-      batch.reserve(policy.max_batch);
-      bool open = true;
-      auto stage_elem = [&](T&& t) {
-        scatter[HashPartition(key_fn(t), parallelism)].push_back(
-            std::move(t));
-      };
-      while (open) {
-        batch.clear();
-        const size_t n = in->PopBatch(&batch, policy.max_batch);
-        if (n == 0) break;
-        for (size_t i = 0; i < n; ++i) {
-          if constexpr (std::is_same_v<In, T>) {
-            if (!prefix) {
-              stage_elem(std::move(batch[i]));
-              continue;
-            }
-          }
-          prefix(std::move(batch[i]), stage_elem);
-        }
-        for (size_t w = 0; w < parallelism && open; ++w) {
-          if (scatter[w].empty()) continue;
-          const size_t offered = scatter[w].size();
-          if ((*partitions)[w]->PushBatch(std::move(scatter[w])) !=
-              offered) {
-            open = false;
-          }
-          scatter[w].clear();
-        }
-      }
-      if (!open) in->CloseAndDrain();
-    }
-    for (auto& p : *partitions) p->Close();
-  });
-
-  // Workers share the output channel; the last one to finish closes it.
-  auto live_workers = std::make_shared<std::atomic<size_t>>(parallelism);
-  for (size_t w = 0; w < parallelism; ++w) {
-    auto my_in = (*partitions)[w];
-    pipeline->AddThread([my_in, out, key_fn, process, flush, live_workers,
-                         policy] {
-      BatchEmitter<Out> emitter(out, policy);
-      std::unordered_map<uint64_t, State> states;
-      RunStage(
-          my_in, emitter, policy,
-          [&](T& item, BatchEmitter<Out>& em) {
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            process(item, states[key_fn(item)], emit);
-            return ok;
-          },
-          [&](bool open, BatchEmitter<Out>& em) {
-            if (!open || !flush) return;
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            for (auto& [key, state] : states) flush(key, state, emit);
-          });
-      if (live_workers->fetch_sub(1) == 1) out->Close();
-    });
-  }
-  return Flow<Out>(pipeline, std::move(out), policy);
-}
-
-}  // namespace internal
 
 /// A chain of stateless operators fused into one stage: the composed
 /// transform runs element-at-a-time inside a single thread, so a
@@ -982,26 +880,16 @@ class FusedChain {
   /// channel, draining and emitting per the source Flow's BatchPolicy
   /// (overridable via `opts.batch` like any other operator).
   Flow<Cur> Emit(StageOptions opts = {}) const {
-    Pipeline* pipeline = source_.pipeline();
-    const BatchPolicy policy = opts.batch.value_or(source_.batch_policy());
-    auto out = std::make_shared<Channel<Cur>>(opts.capacity);
-    pipeline->RegisterChannelStage("fused", std::move(opts.name), out);
-    auto in = source_.channel();
-    pipeline->AddThread([in, out, policy, apply = apply_] {
-      BatchEmitter<Cur> emitter(out, policy);
-      internal::RunStage(
-          in, emitter, policy,
-          [&apply](In& item, BatchEmitter<Cur>& em) {
-            bool ok = true;
-            apply(std::move(item), [&](Cur&& c) {
-              if (ok && !em.Emit(std::move(c))) ok = false;
-            });
-            return ok;
-          },
-          [](bool, BatchEmitter<Cur>&) {});
-      out->Close();
-    });
-    return Flow<Cur>(pipeline, std::move(out), policy);
+    return internal::SpawnStage<In, Cur>(
+        source_.pipeline(), source_.channel(), source_.batch_policy(),
+        std::move(opts), "fused",
+        [apply = apply_](In& item, BatchEmitter<Cur>& em) {
+          bool ok = true;
+          apply(std::move(item), [&](Cur&& c) {
+            if (ok && !em.Emit(std::move(c))) ok = false;
+          });
+          return ok;
+        });
   }
 
  private:

@@ -1,8 +1,9 @@
 // Differential equivalence harness for the batched channel transport and
 // operator fusion (the correctness lock for PushBatch/PopBatch +
 // BatchPolicy + Flow::Fuse): seeded random operator graphs over simulated
-// vessel records are executed several ways — record-at-a-time, batched
-// with a timed linger, and fused+batched with flush-only-when-full —
+// vessel records are executed several ways — one record per transfer
+// (Single), batched with a timed linger, and fused+batched with a linger
+// longer than the run (batches leave only when full or at the end) —
 // across batch sizes {1, 7, 64, 1024}, channel capacities {1, 2, 1024}
 // and worker counts, and every execution must produce the exact same
 // output multiset. Batch boundaries and linger-driven flush timing are
@@ -34,6 +35,10 @@
 
 namespace tcmf::stream {
 namespace {
+
+// A linger longer than any run here: batches leave only when full or at
+// end of stream.
+constexpr int64_t kLingerPastRunMs = 60000;
 
 // A simulated vessel record: entity id, event time, measured value.
 struct VRec {
@@ -359,11 +364,11 @@ TEST_P(BatchEquivTest, BatchedAndFusedMatchRecordAtATime) {
   const std::vector<VRec> baseline =
       RunGraph(ops, input, BatchPolicy::Single(), p.capacity, false);
   // Batched with a short linger exercises the timed PopBatchFor path;
-  // fused with linger < 0 exercises the flush-only-when-full path.
+  // fused with a linger past the run flushes only when full or at the end.
   const std::vector<VRec> batched = RunGraph(
       ops, input, BatchPolicy::Batched(p.batch, 2), p.capacity, false);
   const std::vector<VRec> fused = RunGraph(
-      ops, input, BatchPolicy::Batched(p.batch, -1), p.capacity, true);
+      ops, input, BatchPolicy::Batched(p.batch, kLingerPastRunMs), p.capacity, true);
 
   ExpectSameMultiset(baseline, batched, "batched");
   ExpectSameMultiset(baseline, fused, "fused+batched");
@@ -475,7 +480,7 @@ TEST_P(KeyedFuseEquivTest, FusedKeyedMatchesTwoHopAndUnfused) {
   const std::vector<VRec> two_hop = RunKeyedGraph(
       ops, input, BatchPolicy::Batched(p.batch, 2), cap, KeyedMode::kTwoHop);
   const std::vector<VRec> fused_keyed =
-      RunKeyedGraph(ops, input, BatchPolicy::Batched(p.batch, -1), cap,
+      RunKeyedGraph(ops, input, BatchPolicy::Batched(p.batch, kLingerPastRunMs), cap,
                     KeyedMode::kFusedKeyed);
 
   ExpectSameMultiset(baseline, two_hop, "two-hop");
@@ -537,7 +542,7 @@ TEST(BatchEquivTest, AllOperatorKindsGraph) {
         baseline, RunGraph(ops, input, BatchPolicy::Batched(batch, 1), 8, false),
         "batched");
     ExpectSameMultiset(
-        baseline, RunGraph(ops, input, BatchPolicy::Batched(batch, -1), 8, true),
+        baseline, RunGraph(ops, input, BatchPolicy::Batched(batch, kLingerPastRunMs), 8, true),
         "fused");
   }
 }
@@ -580,7 +585,7 @@ TEST(ShardedEquivTest, ShardedGraphsMatchSinglePipeline) {
           "sharded-batched");
       ExpectSameMultiset(
           baseline,
-          RunGraphSharded(ops, input, shards, BatchPolicy::Batched(64, -1),
+          RunGraphSharded(ops, input, shards, BatchPolicy::Batched(64, kLingerPastRunMs),
                           base, true),
           "sharded-fused");
     }

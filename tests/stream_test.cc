@@ -153,20 +153,7 @@ TEST(ChannelTest, PushAfterCloseFails) {
   Channel<int> ch(10);
   ch.Close();
   EXPECT_FALSE(ch.Push(1));
-  EXPECT_FALSE(ch.TryPush(1));
-}
-
-TEST(ChannelTest, TryPushRespectsCapacity) {
-  Channel<int> ch(2);
-  EXPECT_TRUE(ch.TryPush(1));
-  EXPECT_TRUE(ch.TryPush(2));
-  EXPECT_FALSE(ch.TryPush(3));
-  EXPECT_EQ(ch.size(), 2u);
-}
-
-TEST(ChannelTest, TryPopEmpty) {
-  Channel<int> ch(2);
-  EXPECT_FALSE(ch.TryPop().has_value());
+  EXPECT_EQ(ch.PushBatch({1, 2}), 0u);
 }
 
 TEST(ChannelTest, BlockingBackpressure) {
@@ -183,6 +170,9 @@ TEST(ChannelTest, BlockingBackpressure) {
   producer.join();
   EXPECT_TRUE(pushed.load());
   EXPECT_EQ(ch.Pop().value(), 1);
+  // A full but healthy channel blocks; only closed/cancelled pushes count
+  // as rejections.
+  EXPECT_EQ(ch.MetricsSnapshot().push_rejected, 0u);
 }
 
 TEST(ChannelTest, ManyProducersOneConsumer) {
@@ -206,24 +196,22 @@ TEST(ChannelTest, ManyProducersOneConsumer) {
 
 // ------------------------------------------------ Channel: cancel + poll
 
-TEST(ChannelTest, TryPopTriStateDistinguishesEmptyFromClosed) {
+TEST(ChannelTest, PopBatchForDrainsBeforeReportingClosed) {
   Channel<int> ch(4);
-  int out = 0;
+  std::vector<int> out;
+  constexpr std::chrono::milliseconds kPoll(1);
   // Open and empty: try again later.
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kEmpty);
-  EXPECT_FALSE(ch.closed_and_empty());
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kEmpty);
   // Item available.
   ch.Push(7);
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kItem);
-  EXPECT_EQ(out, 7);
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kItem);
+  EXPECT_EQ(out, (std::vector<int>{7}));
   // Closed but not yet drained: still an item, then terminal.
   ch.Push(8);
   ch.Close();
-  EXPECT_FALSE(ch.closed_and_empty());
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kItem);
-  EXPECT_EQ(out, 8);
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kClosed);
-  EXPECT_TRUE(ch.closed_and_empty());
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kItem);
+  EXPECT_EQ(out, (std::vector<int>{7, 8}));
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kClosed);
 }
 
 TEST(ChannelTest, CloseAndDrainDiscardsQueuedElements) {
@@ -233,7 +221,8 @@ TEST(ChannelTest, CloseAndDrainDiscardsQueuedElements) {
   ch.Push(3);
   ch.CloseAndDrain();
   EXPECT_TRUE(ch.cancelled());
-  EXPECT_TRUE(ch.closed_and_empty());
+  EXPECT_TRUE(ch.closed());
+  EXPECT_EQ(ch.size(), 0u);
   EXPECT_FALSE(ch.Pop().has_value());
   EXPECT_FALSE(ch.Push(4));
   StageMetrics m = ch.MetricsSnapshot();
@@ -418,48 +407,38 @@ TEST(ChannelTest, BatchWakeupsFourProducersFourConsumersNoStrand) {
       << "batch wakeup stranded a waiter: notify_one regression";
 }
 
-// ---------------------- Channel: TryPush/TryPop vs consumer cancellation
+// ------------------------ Channel: timed poll vs consumer cancellation
 
 TEST(ChannelTest, PollingConsumerObservesEmptyThenClosedAcrossCancel) {
   Channel<int> ch(4);
-  int out = 0;
+  std::vector<int> out;
+  constexpr std::chrono::milliseconds kPoll(1);
   // Polling consumer sees kEmpty while the channel is open...
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kEmpty);
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kEmpty);
   ch.Push(1);
   ch.Push(2);
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kItem);
-  EXPECT_EQ(out, 1);
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kItem);
+  EXPECT_EQ(out, (std::vector<int>{1}));
   // ...then another consumer cancels: the queued element is discarded
-  // and the poller transitions kEmpty -> kClosed with no intervening
-  // kItem (cancel means "never again", not "drain first").
+  // and the poller transitions to kClosed with no intervening kItem
+  // (cancel means "never again", not "drain first").
   ch.CloseAndDrain();
-  EXPECT_EQ(ch.TryPop(&out), PollStatus::kClosed);
-  EXPECT_TRUE(ch.closed_and_empty());
-  // The optional-based TryPop agrees.
-  EXPECT_FALSE(ch.TryPop().has_value());
+  EXPECT_EQ(ch.PopBatchFor(&out, 1, kPoll), PollStatus::kClosed);
+  EXPECT_EQ(out, (std::vector<int>{1}));
 }
 
-TEST(ChannelTest, TryPushAfterCloseAndDrainCountsRejections) {
+TEST(ChannelTest, PushAfterCloseAndDrainCountsRejections) {
   Channel<int> ch(4);
   ch.Push(1);
   ch.CloseAndDrain();
-  EXPECT_FALSE(ch.TryPush(2));
-  EXPECT_FALSE(ch.TryPush(3));
-  EXPECT_FALSE(ch.Push(4));
-  EXPECT_EQ(ch.PushBatch({5, 6}), 0u);
+  EXPECT_FALSE(ch.Push(2));
+  EXPECT_FALSE(ch.Push(3));
+  EXPECT_EQ(ch.PushBatch({4, 5, 6}), 0u);
   StageMetrics m = ch.MetricsSnapshot();
   EXPECT_EQ(m.dropped_on_cancel, 1u);  // the queued element
-  EXPECT_EQ(m.push_rejected, 5u);      // 2 TryPush + 1 Push + 2 batch
+  EXPECT_EQ(m.push_rejected, 5u);      // 2 Push + 3 batch
   EXPECT_EQ(m.records_in, 1u);         // rejected pushes are not "in"
   EXPECT_TRUE(m.cancelled);
-}
-
-TEST(ChannelTest, TryPushFullIsNotARejection) {
-  Channel<int> ch(1);
-  EXPECT_TRUE(ch.TryPush(1));
-  EXPECT_FALSE(ch.TryPush(2));  // full, but channel healthy
-  StageMetrics m = ch.MetricsSnapshot();
-  EXPECT_EQ(m.push_rejected, 0u);  // only closed/cancelled pushes count
 }
 
 // -------------------------------------------------------------- Pipeline
@@ -843,6 +822,37 @@ TEST(PipelineMetricsTest, ReportExposesPerStageCounts) {
   // Uptime froze when Run() returned: later reads agree.
   EXPECT_GE(pipeline.uptime_ms(), 0);
   EXPECT_EQ(pipeline.uptime_ms(), pipeline.uptime_ms());
+}
+
+// Single() and Batched() run the same loop; only the transfer size
+// differs, and the stage rows show it.
+TEST(PipelineMetricsTest, SingleMovesOneRecordPerTransfer) {
+  auto run = [](BatchPolicy policy) {
+    Pipeline pipeline;
+    std::vector<int> input(5000);
+    std::iota(input.begin(), input.end(), 0);
+    size_t delivered = 0;
+    Flow<int>::FromVector(&pipeline, input, {.batch = policy})
+        .Map<int>([](const int& x) { return x + 1; })
+        .Filter([](const int& x) { return x % 2 == 0; })
+        .Sink([&delivered](const int&) { ++delivered; });
+    pipeline.Run();
+    EXPECT_EQ(delivered, 2500u);
+    std::vector<StageMetrics> report = pipeline.Report();
+    EXPECT_EQ(report.size(), 3u);
+    return report;
+  };
+  // A max_batch of 0 set by hand runs as 1, not as an empty pop that
+  // would end every stage at once.
+  for (const BatchPolicy& single : {BatchPolicy::Single(), BatchPolicy{0, 5}}) {
+    for (const StageMetrics& m : run(single)) {
+      EXPECT_GT(m.records_in, 0u) << m.stage;
+      EXPECT_EQ(m.batches_in, m.records_in) << m.stage;
+    }
+  }
+  for (const StageMetrics& m : run(BatchPolicy::Batched(64))) {
+    EXPECT_GT(m.MeanBatchIn(), 1.0) << m.stage;
+  }
 }
 
 TEST(PipelineMetricsTest, AutoNamedStagesAndCancelledEdgeVisible) {
